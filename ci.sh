@@ -116,4 +116,7 @@ EOF
 test -s target/e19_alerts.log \
   || { echo "E19 alert log missing or empty at target/e19_alerts.log"; exit 1; }
 
+echo "==> perfbench self-test (benchmark manifest, unit tests, every workload briefly)"
+python3 perfbench/selftest.py
+
 echo "CI green."

@@ -11,22 +11,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use vdo_core::RemediationPlanner;
-use vdo_host::UnixHost;
 use vdo_soc::{SocConfig, SocEngine, SocMetrics};
 use vdo_stigs::ubuntu;
-
-fn compliant_fleet(n: usize) -> Vec<UnixHost> {
-    let catalog = ubuntu::catalog();
-    let planner = RemediationPlanner::default();
-    (0..n)
-        .map(|_| {
-            let mut h = UnixHost::baseline_ubuntu_1804();
-            planner.run(&catalog, &mut h);
-            h
-        })
-        .collect()
-}
 
 fn soc_config() -> SocConfig {
     SocConfig {
@@ -47,7 +33,7 @@ fn bench_obs(c: &mut Criterion) {
     for mode in ["disabled", "enabled", "registry"] {
         group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |b, &mode| {
             b.iter_batched(
-                || compliant_fleet(64),
+                || ubuntu::hardened_fleet(64),
                 |mut fleet| {
                     let registry = vdo_obs::Registry::new();
                     let metrics = match mode {

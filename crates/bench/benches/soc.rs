@@ -12,23 +12,9 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use vdo_core::RemediationPlanner;
-use vdo_host::UnixHost;
 use vdo_pipeline::{MonitorEngine, OperationsPhase, OpsConfig};
 use vdo_soc::{SocConfig, SocEngine};
 use vdo_stigs::ubuntu;
-
-fn compliant_fleet(n: usize) -> Vec<UnixHost> {
-    let catalog = ubuntu::catalog();
-    let planner = RemediationPlanner::default();
-    (0..n)
-        .map(|_| {
-            let mut h = UnixHost::baseline_ubuntu_1804();
-            planner.run(&catalog, &mut h);
-            h
-        })
-        .collect()
-}
 
 /// Ticks per run, scaled down for big fleets so the table stays fast.
 fn ticks_for(hosts: usize) -> u64 {
@@ -50,7 +36,7 @@ fn print_fleet_table() {
         let duration = ticks_for(hosts);
 
         // Event-driven: one engine over the whole fleet.
-        let mut fleet = compliant_fleet(hosts);
+        let mut fleet = ubuntu::hardened_fleet(hosts);
         let engine = SocEngine::new(
             &catalog,
             SocConfig {
@@ -81,7 +67,7 @@ fn print_fleet_table() {
         let mut latency_sum = 0.0;
         let mut noncompliant = 0u64;
         let mut checks = 0u64;
-        for (i, host) in compliant_fleet(hosts).iter_mut().enumerate() {
+        for (i, host) in ubuntu::hardened_fleet(hosts).iter_mut().enumerate() {
             let r = phase.run(
                 host,
                 &OpsConfig {
@@ -120,7 +106,7 @@ fn print_worker_table() {
     let catalog = ubuntu::catalog();
     let mut reference: Option<String> = None;
     for workers in [1usize, 2, 4, 8, 16] {
-        let mut fleet = compliant_fleet(1_000);
+        let mut fleet = ubuntu::hardened_fleet(1_000);
         let engine = SocEngine::new(
             &catalog,
             SocConfig {
@@ -165,7 +151,7 @@ fn bench_soc(c: &mut Criterion) {
     for hosts in [1usize, 10, 100] {
         group.bench_with_input(BenchmarkId::from_parameter(hosts), &hosts, |b, &hosts| {
             b.iter_batched(
-                || compliant_fleet(hosts),
+                || ubuntu::hardened_fleet(hosts),
                 |mut fleet| {
                     let engine = SocEngine::new(
                         &catalog,
@@ -195,7 +181,7 @@ fn bench_soc(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 b.iter_batched(
-                    || compliant_fleet(64),
+                    || ubuntu::hardened_fleet(64),
                     |mut fleet| {
                         let engine = SocEngine::new(
                             &catalog,

@@ -10,23 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use vdo_core::RemediationPlanner;
-use vdo_host::UnixHost;
 use vdo_soc::{SocConfig, SocEngine, SocMetrics, SocTracing};
 use vdo_stigs::ubuntu;
 use vdo_trace::{Event, Journal, TraceContext};
-
-fn compliant_fleet(n: usize) -> Vec<UnixHost> {
-    let catalog = ubuntu::catalog();
-    let planner = RemediationPlanner::default();
-    (0..n)
-        .map(|_| {
-            let mut h = UnixHost::baseline_ubuntu_1804();
-            planner.run(&catalog, &mut h);
-            h
-        })
-        .collect()
-}
 
 fn soc_config() -> SocConfig {
     SocConfig {
@@ -56,7 +42,7 @@ fn bench_trace(c: &mut Criterion) {
                         "disabled" => Some(SocTracing::disabled()),
                         _ => None,
                     };
-                    (compliant_fleet(64), tracing)
+                    (ubuntu::hardened_fleet(64), tracing)
                 },
                 |(mut fleet, tracing)| {
                     let metrics = SocMetrics::new();

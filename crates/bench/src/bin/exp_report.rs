@@ -177,14 +177,7 @@ fn main() {
 /// overhead table, the completeness check, and `--journal`.
 fn traced_fleet_journal(workers: usize) -> vdo_trace::Journal {
     let catalog = ubuntu::catalog();
-    let planner = RemediationPlanner::default();
-    let mut fleet: Vec<vdo_host::UnixHost> = (0..64)
-        .map(|_| {
-            let mut h = vdo_host::UnixHost::baseline_ubuntu_1804();
-            planner.run(&catalog, &mut h);
-            h
-        })
-        .collect();
+    let mut fleet = ubuntu::hardened_fleet(64);
     let config = SocConfig {
         duration: 200,
         drift_rate: 0.02,
@@ -624,20 +617,10 @@ fn e11_soc_engine() -> Value {
         "CHECKS"
     );
     let catalog = ubuntu::catalog();
-    let planner = RemediationPlanner::default();
-    let fleet_of = |n: usize| -> Vec<vdo_host::UnixHost> {
-        (0..n)
-            .map(|_| {
-                let mut h = vdo_host::UnixHost::baseline_ubuntu_1804();
-                planner.run(&catalog, &mut h);
-                h
-            })
-            .collect()
-    };
     let mut scaling_rows = Vec::new();
     for hosts in [1usize, 10, 100, 1_000] {
         let duration = if hosts <= 100 { 500 } else { 100 };
-        let mut fleet = fleet_of(hosts);
+        let mut fleet = ubuntu::hardened_fleet(hosts);
         let engine = SocEngine::new(
             &catalog,
             SocConfig {
@@ -674,7 +657,7 @@ fn e11_soc_engine() -> Value {
         let phase = OperationsPhase::new(&catalog);
         let (mut incidents, mut weighted_latency, mut noncompliant, mut checks) =
             (0usize, 0.0f64, 0u64, 0u64);
-        for (i, host) in fleet_of(hosts).iter_mut().enumerate() {
+        for (i, host) in ubuntu::hardened_fleet(hosts).iter_mut().enumerate() {
             let r = phase.run(
                 host,
                 &OpsConfig {
@@ -724,7 +707,7 @@ fn e11_soc_engine() -> Value {
     let mut reference: Option<String> = None;
     let mut determinism_rows = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let mut fleet = fleet_of(64);
+        let mut fleet = ubuntu::hardened_fleet(64);
         let engine = SocEngine::new(
             &catalog,
             SocConfig {
@@ -783,16 +766,6 @@ fn e11_soc_engine() -> Value {
 fn e12_obs_overhead() -> Value {
     say!("\n== E12: observability overhead (64-host SOC fleet, enabled vs disabled recorder) ==");
     let catalog = ubuntu::catalog();
-    let planner = RemediationPlanner::default();
-    let fleet_of = || -> Vec<vdo_host::UnixHost> {
-        (0..64)
-            .map(|_| {
-                let mut h = vdo_host::UnixHost::baseline_ubuntu_1804();
-                planner.run(&catalog, &mut h);
-                h
-            })
-            .collect()
-    };
     let config = SocConfig {
         duration: 200,
         drift_rate: 0.02,
@@ -810,7 +783,7 @@ fn e12_obs_overhead() -> Value {
             } else {
                 SocMetrics::disabled()
             };
-            let mut fleet = fleet_of();
+            let mut fleet = ubuntu::hardened_fleet(64);
             let engine = SocEngine::new(&catalog, config.clone()).expect("valid config");
             let t0 = Instant::now();
             let report = engine.run_with_metrics(&mut fleet, &metrics);
@@ -844,16 +817,6 @@ fn e12_obs_overhead() -> Value {
 fn e14_trace() -> Value {
     say!("\n== E14: trace-journal overhead + completeness (64-host SOC fleet) ==");
     let catalog = ubuntu::catalog();
-    let planner = RemediationPlanner::default();
-    let fleet_of = || -> Vec<vdo_host::UnixHost> {
-        (0..64)
-            .map(|_| {
-                let mut h = vdo_host::UnixHost::baseline_ubuntu_1804();
-                planner.run(&catalog, &mut h);
-                h
-            })
-            .collect()
-    };
     let config = SocConfig {
         duration: 200,
         drift_rate: 0.02,
@@ -875,7 +838,7 @@ fn e14_trace() -> Value {
     let mut best = [f64::INFINITY; 3];
     for _ in 0..rounds {
         for (slot, mode) in modes.iter().enumerate() {
-            let mut fleet = fleet_of();
+            let mut fleet = ubuntu::hardened_fleet(64);
             let engine = SocEngine::new(&catalog, overhead_config.clone()).expect("valid config");
             let metrics = SocMetrics::new();
             // The journal outlives the run in every real deployment (it
@@ -916,7 +879,7 @@ fn e14_trace() -> Value {
     let mut completeness_rows = Vec::new();
     let mut fingerprints = Vec::new();
     for workers in [1usize, 2, 4] {
-        let mut fleet = fleet_of();
+        let mut fleet = ubuntu::hardened_fleet(64);
         let journal = vdo_trace::Journal::new();
         let engine = SocEngine::new(
             &catalog,

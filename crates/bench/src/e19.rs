@@ -35,8 +35,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use serde::json::Value;
-use vdo_core::RemediationPlanner;
-use vdo_host::UnixHost;
 use vdo_server::{
     LoadConfig, LoadGen, Server, ServerConfig, ServerMetrics, ServerSloPolicy, ServerTracing,
     TenantConfig,
@@ -197,17 +195,6 @@ fn admission_rule() -> BurnRateRule {
     }
 }
 
-fn fleet_of(catalog: &vdo_core::Catalog<UnixHost>, hosts: usize) -> Vec<UnixHost> {
-    let planner = RemediationPlanner::default();
-    (0..hosts)
-        .map(|_| {
-            let mut h = UnixHost::baseline_ubuntu_1804();
-            planner.run(catalog, &mut h);
-            h
-        })
-        .collect()
-}
-
 /// Runs the E19 telemetry-plane experiment and returns the section
 /// JSON. Structural invariants (identical incident logs across arms,
 /// 100% root resolution, every alert reaching the bus) are asserted
@@ -261,7 +248,7 @@ pub fn section(scale: &E19Scale) -> Value {
                 }
             };
             let metrics = SocMetrics::new();
-            let mut fleet = fleet_of(&catalog, scale.hosts);
+            let mut fleet = ubuntu::hardened_fleet(scale.hosts);
             let engine = SocEngine::new(&catalog, overhead_config.clone()).expect("valid config");
             let t0 = Instant::now();
             let report = engine.run_traced(&mut fleet, &metrics, &tracing);
@@ -304,7 +291,7 @@ pub fn section(scale: &E19Scale) -> Value {
     };
     let record = |sink: Box<dyn vdo_trace::JournalSink>| {
         let journal = Journal::with_sink(capture, sink);
-        let mut fleet = fleet_of(&catalog, scale.hosts);
+        let mut fleet = ubuntu::hardened_fleet(scale.hosts);
         let engine = SocEngine::new(&catalog, config.clone()).expect("valid config");
         let report = engine.run_traced(
             &mut fleet,

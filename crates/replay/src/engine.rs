@@ -24,14 +24,13 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use vdo_core::RemediationPlanner;
 use vdo_host::UnixHost;
 use vdo_soc::{SocEngine, SocMetrics, SocReport, SocTracing};
 use vdo_stigs::ubuntu;
 use vdo_trace::colfmt::{DirWriter, JournalDir};
 use vdo_trace::{
-    Event, Journal, JournalConfig, MemorySink, SamplingPolicy, SamplingSink, SamplingStats,
-    Severity,
+    Event, Journal, JournalConfig, JournalSink, MemorySink, SamplingPolicy, SamplingSink,
+    SamplingStats, Severity,
 };
 
 use crate::spec::RunSpec;
@@ -50,27 +49,110 @@ fn fnv_fold(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
-fn digest_sorted_lines(mut lines: Vec<String>) -> u64 {
-    lines.sort_unstable();
-    let mut h = FNV_OFFSET;
-    for line in &lines {
-        h = fnv_fold(h, line.as_bytes());
-        h = fnv_fold(h, b"\n");
+/// One event stream, canonicalised once: every event's canonical line
+/// sits in one arena, and `lines` indexes the arena in byte order.
+/// Filtering a sorted sequence keeps it sorted, so the sorted lines of
+/// any cut `at < T` are a subsequence of this one order — every cut is
+/// digested by one fold over it, with no sort of its own.
+struct SortedLines {
+    arena: String,
+    lines: Vec<Line>,
+}
+
+#[derive(Clone, Copy)]
+struct Line {
+    at: u64,
+    warn_plus: bool,
+    start: usize,
+    end: usize,
+}
+
+impl SortedLines {
+    fn new(events: &[(u64, Event)]) -> Self {
+        let mut arena = String::new();
+        let mut lines = Vec::with_capacity(events.len());
+        for (_, e) in events {
+            let start = arena.len();
+            e.write_canonical_line(&mut arena);
+            lines.push(Line {
+                at: e.at,
+                warn_plus: e.severity >= Severity::Warn,
+                start,
+                end: arena.len(),
+            });
+        }
+        let bytes = arena.as_bytes();
+        lines.sort_unstable_by(|a, b| bytes[a.start..a.end].cmp(&bytes[b.start..b.end]));
+        SortedLines { arena, lines }
     }
-    h
+
+    fn text(&self, line: &Line) -> &str {
+        &self.arena[line.start..line.end]
+    }
+
+    /// Every tick's cut, folded in one pass over the sorted lines with
+    /// one running state per tick.
+    fn checkpoints(&self, ticks: &[u64]) -> Vec<Checkpoint> {
+        // The flag records whether the verdict log already has a line,
+        // so later lines are preceded by the `\n` that joins them.
+        let mut cuts: Vec<(Checkpoint, bool)> = ticks
+            .iter()
+            .map(|&tick| {
+                let cp = Checkpoint {
+                    tick,
+                    events: 0,
+                    journal_digest: FNV_OFFSET,
+                    verdict_digest: FNV_OFFSET,
+                };
+                (cp, false)
+            })
+            .collect();
+        for line in &self.lines {
+            let bytes = self.text(line).as_bytes();
+            for (cp, has_verdict) in cuts.iter_mut().filter(|(cp, _)| line.at < cp.tick) {
+                cp.events += 1;
+                cp.journal_digest = fnv_fold(fnv_fold(cp.journal_digest, bytes), b"\n");
+                if line.warn_plus {
+                    if *has_verdict {
+                        cp.verdict_digest = fnv_fold(cp.verdict_digest, b"\n");
+                    }
+                    cp.verdict_digest = fnv_fold(cp.verdict_digest, bytes);
+                    *has_verdict = true;
+                }
+            }
+        }
+        cuts.into_iter().map(|(cp, _)| cp).collect()
+    }
+
+    fn verdict_log(&self, upto_tick: u64) -> String {
+        let verdicts: Vec<&str> = self
+            .lines
+            .iter()
+            .filter(|l| l.at < upto_tick && l.warn_plus)
+            .map(|l| self.text(l))
+            .collect();
+        verdicts.join("\n")
+    }
+}
+
+/// The causal cut at every tick of `ticks`, each summarised as a
+/// [`Checkpoint`]. The stream is canonicalised and sorted once,
+/// however many ticks are asked for.
+#[must_use]
+pub fn checkpoints_of(events: &[(u64, Event)], ticks: &[u64]) -> Vec<Checkpoint> {
+    SortedLines::new(events).checkpoints(ticks)
+}
+
+fn checkpoint_at(events: &[(u64, Event)], tick: u64) -> Checkpoint {
+    checkpoints_of(events, &[tick])[0]
 }
 
 /// Order-independent digest of the causal cut at `upto_tick`: the
-/// sorted canonical lines of every event with `at < upto_tick`.
+/// sorted canonical lines of every event with `at < upto_tick`, each
+/// followed by `\n`.
 #[must_use]
 pub fn journal_digest_of(events: &[(u64, Event)], upto_tick: u64) -> u64 {
-    digest_sorted_lines(
-        events
-            .iter()
-            .filter(|(_, e)| e.at < upto_tick)
-            .map(|(_, e)| e.canonical_line())
-            .collect(),
-    )
+    checkpoint_at(events, upto_tick).journal_digest
 }
 
 /// The verdict log of the cut at `upto_tick`: every `Warn`-and-above
@@ -80,26 +162,19 @@ pub fn journal_digest_of(events: &[(u64, Event)], upto_tick: u64) -> u64 {
 /// security-relevant outcome.
 #[must_use]
 pub fn verdict_log_of(events: &[(u64, Event)], upto_tick: u64) -> String {
-    let mut lines: Vec<String> = events
-        .iter()
-        .filter(|(_, e)| e.at < upto_tick && e.severity >= Severity::Warn)
-        .map(|(_, e)| e.canonical_line())
-        .collect();
-    lines.sort_unstable();
-    lines.join("\n")
+    SortedLines::new(events).verdict_log(upto_tick)
 }
 
 /// FNV digest of [`verdict_log_of`]'s bytes — equal digests ⇔
 /// byte-identical verdict logs.
 #[must_use]
 pub fn verdict_digest_of(events: &[(u64, Event)], upto_tick: u64) -> u64 {
-    fnv_fold(FNV_OFFSET, verdict_log_of(events, upto_tick).as_bytes())
+    checkpoint_at(events, upto_tick).verdict_digest
 }
 
 /// Ring sizing for recording/replay journals: the sink (disk or
 /// memory) is the durable copy, so the ring is kept minimal.
-fn capture_config(spec: &RunSpec) -> JournalConfig {
-    let _ = spec;
+fn capture_config() -> JournalConfig {
     JournalConfig {
         shards: 1,
         capacity_per_shard: 1,
@@ -116,14 +191,7 @@ fn run_soc(
     journal: &Journal,
 ) -> (SocReport, Vec<UnixHost>) {
     let catalog = ubuntu::catalog();
-    let planner = RemediationPlanner::default();
-    let mut fleet: Vec<UnixHost> = (0..spec.hosts)
-        .map(|_| {
-            let mut h = UnixHost::baseline_ubuntu_1804();
-            planner.run(&catalog, &mut h);
-            h
-        })
-        .collect();
+    let mut fleet = ubuntu::hardened_fleet(spec.hosts);
     let engine = SocEngine::new(&catalog, spec.soc_config(workers, duration))
         .expect("replay spec maps to a valid SOC config");
     let tracing = SocTracing::new(journal.clone(), spec.trace_seed);
@@ -167,7 +235,13 @@ pub struct Recording {
 /// nothing else.
 pub fn record(spec: &RunSpec, dir: &Path) -> io::Result<Recording> {
     let sink = DirWriter::create(dir, &spec.to_header())?;
-    let journal = Journal::with_sink(capture_config(spec), Box::new(sink));
+    record_into(spec, dir, Box::new(sink))
+}
+
+/// Runs `spec` live into `sink`, which writes the segments under
+/// `dir`, then derives and stores the checkpoint schedule.
+fn record_into(spec: &RunSpec, dir: &Path, sink: Box<dyn JournalSink>) -> io::Result<Recording> {
+    let journal = Journal::with_sink(capture_config(), sink);
     let (report, _fleet) = run_soc(spec, None, None, &journal);
     journal.sync();
     let checkpoints = derive_and_store_checkpoints(spec, dir)?;
@@ -183,16 +257,7 @@ pub fn record(spec: &RunSpec, dir: &Path) -> io::Result<Recording> {
 /// writes `checkpoints.txt` beside the segments.
 fn derive_and_store_checkpoints(spec: &RunSpec, dir: &Path) -> io::Result<Vec<Checkpoint>> {
     let events = JournalDir::open(dir)?.events()?;
-    let checkpoints: Vec<Checkpoint> = spec
-        .checkpoint_ticks()
-        .into_iter()
-        .map(|tick| Checkpoint {
-            tick,
-            events: events.iter().filter(|(_, e)| e.at < tick).count() as u64,
-            journal_digest: journal_digest_of(&events, tick),
-            verdict_digest: verdict_digest_of(&events, tick),
-        })
-        .collect();
+    let checkpoints = checkpoints_of(&events, &spec.checkpoint_ticks());
     let mut text = format!("{CHECKPOINTS_VERSION}\n");
     for cp in &checkpoints {
         use std::fmt::Write as _;
@@ -221,21 +286,12 @@ pub fn record_sampled(
 ) -> io::Result<(Recording, SamplingStats)> {
     let sink = SamplingSink::new(DirWriter::create(dir, &spec.to_header())?, policy);
     let stats = sink.stats();
-    let journal = Journal::with_sink(capture_config(spec), Box::new(sink));
-    let (report, _fleet) = run_soc(spec, None, None, &journal);
-    journal.sync();
-    let checkpoints = derive_and_store_checkpoints(spec, dir)?;
-    Ok((
-        Recording {
-            spec: *spec,
-            report,
-            checkpoints,
-            dir: dir.to_path_buf(),
-        },
-        stats,
-    ))
+    Ok((record_into(spec, dir, Box::new(sink))?, stats))
 }
 
+/// Parses `checkpoints.txt`. Every non-blank line after the version
+/// must carry `tick`, `events`, `journal` and `verdict` exactly once
+/// and nothing else.
 fn parse_checkpoints(text: &str) -> io::Result<Vec<Checkpoint>> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut lines = text.lines();
@@ -249,28 +305,55 @@ fn parse_checkpoints(text: &str) -> io::Result<Vec<Checkpoint>> {
         if line.is_empty() {
             continue;
         }
-        let mut cp = Checkpoint {
-            tick: 0,
-            events: 0,
-            journal_digest: 0,
-            verdict_digest: 0,
-        };
+        // tick, events, journal, verdict — in `Checkpoint` field order.
+        let mut values: [Option<u64>; 4] = [None; 4];
         for token in line.split_whitespace() {
             let (key, value) = token
                 .split_once('=')
                 .ok_or_else(|| bad(format!("malformed checkpoint token {token:?}")))?;
-            let err = |_| bad(format!("malformed checkpoint value {token:?}"));
-            match key {
-                "tick" => cp.tick = value.parse().map_err(err)?,
-                "events" => cp.events = value.parse().map_err(err)?,
-                "journal" => cp.journal_digest = u64::from_str_radix(value, 16).map_err(err)?,
-                "verdict" => cp.verdict_digest = u64::from_str_radix(value, 16).map_err(err)?,
-                _ => continue,
+            let (slot, radix) = match key {
+                "tick" => (0, 10),
+                "events" => (1, 10),
+                "journal" => (2, 16),
+                "verdict" => (3, 16),
+                _ => return Err(bad(format!("unknown checkpoint key {key:?}"))),
+            };
+            let parsed = u64::from_str_radix(value, radix)
+                .map_err(|_| bad(format!("malformed checkpoint value {token:?}")))?;
+            if values[slot].replace(parsed).is_some() {
+                return Err(bad(format!("duplicate checkpoint key {key:?} in {line:?}")));
             }
         }
-        out.push(cp);
+        let [Some(tick), Some(events), Some(journal_digest), Some(verdict_digest)] = values else {
+            return Err(bad(format!("incomplete checkpoint line {line:?}")));
+        };
+        out.push(Checkpoint {
+            tick,
+            events,
+            journal_digest,
+            verdict_digest,
+        });
     }
     Ok(out)
+}
+
+/// Rejects a schedule whose ticks are not strictly increasing or run
+/// past the recorded duration.
+fn check_schedule(checkpoints: &[Checkpoint], duration: u64) -> io::Result<()> {
+    let mut prev = None;
+    for cp in checkpoints {
+        if prev.is_some_and(|p| cp.tick <= p) || cp.tick > duration {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "checkpoint tick {} out of order or past the run's {duration} ticks",
+                    cp.tick
+                ),
+            ));
+        }
+        prev = Some(cp.tick);
+    }
+    Ok(())
 }
 
 /// The reconstructed state a replay produced.
@@ -289,10 +372,17 @@ pub struct ReplayOutcome {
 }
 
 impl ReplayOutcome {
+    /// The replayed cut summarised as a [`Checkpoint`]: both digests
+    /// from one canonicalisation of the cut.
+    #[must_use]
+    pub(crate) fn checkpoint(&self) -> Checkpoint {
+        checkpoint_at(&self.events, self.tick)
+    }
+
     /// [`journal_digest_of`] the replayed cut.
     #[must_use]
     pub fn journal_digest(&self) -> u64 {
-        journal_digest_of(&self.events, self.tick)
+        self.checkpoint().journal_digest
     }
 
     /// [`verdict_log_of`] the replayed cut.
@@ -304,7 +394,7 @@ impl ReplayOutcome {
     /// [`verdict_digest_of`] the replayed cut.
     #[must_use]
     pub fn verdict_digest(&self) -> u64 {
-        verdict_digest_of(&self.events, self.tick)
+        self.checkpoint().verdict_digest
     }
 
     /// Order-sensitive digest over every host's full debug rendering —
@@ -381,6 +471,7 @@ impl Replayer {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
+        check_schedule(&checkpoints, spec.duration)?;
         Ok(Replayer {
             spec,
             dir: dir.to_path_buf(),
@@ -408,7 +499,7 @@ impl Replayer {
     pub fn replay_to_tick(&self, tick: u64, workers: Option<usize>) -> ReplayOutcome {
         let sink = MemorySink::new();
         let entries = sink.entries();
-        let journal = Journal::with_sink(capture_config(&self.spec), Box::new(sink));
+        let journal = Journal::with_sink(capture_config(), Box::new(sink));
         let (report, fleet) = run_soc(&self.spec, workers, Some(tick), &journal);
         let mut events = std::mem::take(&mut *entries.lock().expect("capture sink poisoned"));
         events.retain(|(_, e)| e.at < tick);
@@ -429,10 +520,11 @@ impl Replayer {
     pub fn replay_to_checkpoint(&self, index: usize, workers: Option<usize>) -> CheckpointReplay {
         let checkpoint = self.checkpoints[index];
         let outcome = self.replay_to_tick(checkpoint.tick, workers);
+        let replayed = outcome.checkpoint();
         CheckpointReplay {
             checkpoint,
-            journal_match: outcome.journal_digest() == checkpoint.journal_digest,
-            verdict_match: outcome.verdict_digest() == checkpoint.verdict_digest,
+            journal_match: replayed.journal_digest == checkpoint.journal_digest,
+            verdict_match: replayed.verdict_digest == checkpoint.verdict_digest,
             outcome,
         }
     }
@@ -505,6 +597,58 @@ mod tests {
         let rp = Replayer::open(&dir).unwrap();
         assert_eq!(rp.spec(), &spec);
         assert_eq!(rp.checkpoints(), rec.checkpoints.as_slice());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn parse_checkpoints_rejects_malformed_lines() {
+        let v = CHECKPOINTS_VERSION;
+        let good = format!("{v}\ntick=20 events=3 journal=00000000000000ab verdict=cd\n\n");
+        let want = Checkpoint {
+            tick: 20,
+            events: 3,
+            journal_digest: 0xab,
+            verdict_digest: 0xcd,
+        };
+        assert_eq!(parse_checkpoints(&good).unwrap(), [want]);
+        for text in [
+            String::new(),
+            "vdo-replay-checkpoints v0\n".to_string(),
+            format!("{v}\ntick=5\n"),
+            format!("{v}\ntick=20 events=3 journal=ab\n"),
+            format!("{v}\ntick=20 events=3 journal=ab verdict=cd tick=20\n"),
+            format!("{v}\ntick=20 events=3 journal=ab verdict=cd verdict=cd\n"),
+            format!("{v}\ntick=20 events=3 journal=ab verdict=cd note=1\n"),
+            format!("{v}\ntick=20 events=3 journal=zz verdict=cd\n"),
+            format!("{v}\ntick=20 events 3 journal=ab verdict=cd\n"),
+        ] {
+            let err = parse_checkpoints(&text).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn open_rejects_out_of_order_and_overlong_schedules() {
+        let dir = tmp("schedule");
+        let spec = small_spec();
+        let rec = record(&spec, &dir).unwrap();
+        let line = |tick: u64| {
+            let cp = rec.checkpoints[0];
+            format!(
+                "tick={tick} events={} journal={:016x} verdict={:016x}\n",
+                cp.events, cp.journal_digest, cp.verdict_digest
+            )
+        };
+        for ticks in [[40, 20], [20, 20], [20, spec.duration + 1]] {
+            let text = format!(
+                "{CHECKPOINTS_VERSION}\n{}{}",
+                line(ticks[0]),
+                line(ticks[1])
+            );
+            fs::write(dir.join("checkpoints.txt"), text).unwrap();
+            let err = Replayer::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{ticks:?}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -25,8 +25,8 @@ pub mod engine;
 pub mod spec;
 
 pub use engine::{
-    incidents_in_window, journal_digest_of, record, record_sampled, verdict_digest_of,
-    verdict_log_of, Checkpoint, CheckpointReplay, Recording, ReplayOutcome, Replayer, WhatIf,
-    CHECKPOINTS_VERSION,
+    checkpoints_of, incidents_in_window, journal_digest_of, record, record_sampled,
+    verdict_digest_of, verdict_log_of, Checkpoint, CheckpointReplay, Recording, ReplayOutcome,
+    Replayer, WhatIf, CHECKPOINTS_VERSION,
 };
 pub use spec::{RunSpec, SPEC_VERSION};

@@ -1017,20 +1017,8 @@ fn handle_check_result(shard: usize, seq: u64, now: u64, event: SecEvent, state:
 mod tests {
     use super::*;
     use vdo_core::RemediationPlanner;
-    use vdo_host::{UnixHost, WindowsHost};
+    use vdo_host::WindowsHost;
     use vdo_stigs::ubuntu;
-
-    fn compliant_fleet(n: usize) -> Vec<UnixHost> {
-        let catalog = ubuntu::catalog();
-        let planner = RemediationPlanner::default();
-        (0..n)
-            .map(|_| {
-                let mut h = UnixHost::baseline_ubuntu_1804();
-                planner.run(&catalog, &mut h);
-                h
-            })
-            .collect()
-    }
 
     fn base_config() -> SocConfig {
         SocConfig {
@@ -1085,7 +1073,7 @@ mod tests {
     fn drift_is_detected_with_zero_tick_latency() {
         let catalog = ubuntu::catalog();
         let engine = SocEngine::new(&catalog, base_config()).unwrap();
-        let mut fleet = compliant_fleet(6);
+        let mut fleet = ubuntu::hardened_fleet(6);
         let report = engine.run(&mut fleet);
         assert!(report.drift_events > 0);
         let stig: Vec<_> = report
@@ -1113,7 +1101,7 @@ mod tests {
         };
         let run = |cfg: &SocConfig| {
             let engine = SocEngine::new(&catalog, cfg.clone()).unwrap();
-            let mut fleet = compliant_fleet(8);
+            let mut fleet = ubuntu::hardened_fleet(8);
             engine.run(&mut fleet).incident_log()
         };
         assert_eq!(run(&cfg), run(&cfg));
@@ -1138,7 +1126,7 @@ mod tests {
                     ..base_config()
                 };
                 let engine = SocEngine::new(&catalog, cfg).unwrap();
-                let mut fleet = compliant_fleet(8);
+                let mut fleet = ubuntu::hardened_fleet(8);
                 engine.run(&mut fleet).incident_log()
             })
             .collect();
@@ -1160,7 +1148,7 @@ mod tests {
             ..base_config()
         };
         let engine = SocEngine::new(&catalog, cfg).unwrap();
-        let mut fleet = compliant_fleet(4);
+        let mut fleet = ubuntu::hardened_fleet(4);
         let report = engine.run(&mut fleet);
         assert!(report.metrics.retries > 0);
         assert!(!report.dead_letters.is_empty(), "all attempts fail");
@@ -1196,7 +1184,7 @@ mod tests {
             ..base_config()
         };
         let engine = SocEngine::new(&catalog, cfg).unwrap();
-        let mut fleet = compliant_fleet(8);
+        let mut fleet = ubuntu::hardened_fleet(8);
         let report = engine.run(&mut fleet);
         let tears: Vec<_> = report
             .incidents
@@ -1214,7 +1202,7 @@ mod tests {
     fn traced_incidents_resolve_to_requirement_roots() {
         let catalog = ubuntu::catalog();
         let engine = SocEngine::new(&catalog, base_config()).unwrap();
-        let mut fleet = compliant_fleet(6);
+        let mut fleet = ubuntu::hardened_fleet(6);
         let journal = Journal::new();
         let tracing = SocTracing::new(journal.clone(), 11);
         let report = engine.run_traced(&mut fleet, &SocMetrics::new(), &tracing);
@@ -1242,7 +1230,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let catalog = ubuntu::catalog();
         let engine = SocEngine::new(&catalog, base_config()).unwrap();
-        let mut fleet = compliant_fleet(6);
+        let mut fleet = ubuntu::hardened_fleet(6);
         let tracing =
             SocTracing::persistent(&dir, 11, vdo_trace::JournalConfig::default()).unwrap();
         let report = engine.run_traced(&mut fleet, &SocMetrics::new(), &tracing);
@@ -1262,8 +1250,8 @@ mod tests {
     fn disabled_tracing_is_byte_identical_to_untraced() {
         let catalog = ubuntu::catalog();
         let engine = SocEngine::new(&catalog, base_config()).unwrap();
-        let mut a = compliant_fleet(6);
-        let mut b = compliant_fleet(6);
+        let mut a = ubuntu::hardened_fleet(6);
+        let mut b = ubuntu::hardened_fleet(6);
         let untraced = engine.run_with_metrics(&mut a, &SocMetrics::new());
         let disabled = engine.run_traced(&mut b, &SocMetrics::new(), &SocTracing::disabled());
         assert_eq!(untraced.incident_log(), disabled.incident_log());
@@ -1282,7 +1270,7 @@ mod tests {
                     ..base_config()
                 };
                 let engine = SocEngine::new(&catalog, cfg).unwrap();
-                let mut fleet = compliant_fleet(8);
+                let mut fleet = ubuntu::hardened_fleet(8);
                 let journal = Journal::new();
                 let tracing = SocTracing::new(journal.clone(), 5);
                 engine.run_traced(&mut fleet, &SocMetrics::new(), &tracing);
@@ -1303,7 +1291,7 @@ mod tests {
             ..base_config()
         };
         let engine = SocEngine::new(&catalog, cfg).unwrap();
-        let mut fleet = compliant_fleet(6);
+        let mut fleet = ubuntu::hardened_fleet(6);
         let metrics = SocMetrics::new();
         let journal = Journal::new();
         let tracing = SocTracing {
@@ -1348,7 +1336,7 @@ mod tests {
             ..base_config()
         };
         let engine = SocEngine::new(&catalog, cfg).unwrap();
-        let mut fleet = compliant_fleet(5);
+        let mut fleet = ubuntu::hardened_fleet(5);
         let report = engine.run(&mut fleet);
         assert!(report.incidents.is_empty());
         assert_eq!(report.noncompliant_host_ticks, 0);

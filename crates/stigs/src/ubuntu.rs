@@ -8,7 +8,8 @@
 //! experiments.
 
 use vdo_core::{
-    Catalog, CheckStatus, Checkable, Enforceable, EnforcementStatus, RequirementSpec, Severity,
+    Catalog, CheckStatus, Checkable, Enforceable, EnforcementStatus, RemediationPlanner,
+    RequirementSpec, Severity,
 };
 use vdo_host::{FileMode, HostRead, HostWrite, UnixHost};
 
@@ -599,10 +600,20 @@ impl<H: HostWrite> Enforceable<H> for KernelParamPattern {
     }
 }
 
+/// `n` stock Ubuntu 18.04 hosts driven to compliance with [`catalog`]
+/// by the default [`RemediationPlanner`]. The planner is deterministic,
+/// so one host is hardened and cloned `n` times.
+#[must_use]
+pub fn hardened_fleet(n: usize) -> Vec<UnixHost> {
+    let mut host = UnixHost::baseline_ubuntu_1804();
+    RemediationPlanner::default().run(&catalog(), &mut host);
+    vec![host; n]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdo_core::{PlannerConfig, PlannerOutcome, RemediationPlanner};
+    use vdo_core::{PlannerConfig, PlannerOutcome};
 
     #[test]
     fn package_pattern_prohibition() {
@@ -724,6 +735,22 @@ mod tests {
         assert!(run.report.summary().remediated >= before.len() - 1);
         assert!(!host.is_package_installed("telnetd"));
         assert!(host.is_package_installed("aide"));
+    }
+
+    #[test]
+    fn hardened_fleet_equals_hardening_each_host() {
+        let cat = catalog();
+        let planner = RemediationPlanner::default();
+        for n in 0..4 {
+            let each: Vec<UnixHost> = (0..n)
+                .map(|_| {
+                    let mut h = UnixHost::baseline_ubuntu_1804();
+                    planner.run(&cat, &mut h);
+                    h
+                })
+                .collect();
+            assert_eq!(hardened_fleet(n), each);
+        }
     }
 
     mod properties {

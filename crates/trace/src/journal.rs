@@ -284,15 +284,22 @@ impl Event {
     /// for seeded workloads.
     #[must_use]
     pub fn canonical_line(&self) -> String {
+        let mut line = String::new();
+        self.write_canonical_line(&mut line);
+        line
+    }
+
+    /// Appends [`canonical_line`](Event::canonical_line) to `out`
+    /// without allocating a line of its own.
+    pub fn write_canonical_line(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let mut line = format!("{:>8} {} {}", self.at, self.severity, self.name);
+        let _ = write!(out, "{:>8} {} {}", self.at, self.severity, self.name);
         if let Some(t) = &self.trace {
-            let _ = write!(line, " [{t}]");
+            let _ = write!(out, " [{t}]");
         }
         for (k, v) in &self.fields {
-            let _ = write!(line, " {k}={v}");
+            let _ = write!(out, " {k}={v}");
         }
-        line
     }
 }
 

@@ -38,14 +38,7 @@ fn main() {
         ..SocConfig::default()
     };
     let engine = SocEngine::new(&catalog, config).expect("valid config");
-    let planner = veridevops::core::RemediationPlanner::default();
-    let mut fleet: Vec<veridevops::host::UnixHost> = (0..32)
-        .map(|_| {
-            let mut h = veridevops::host::UnixHost::baseline_ubuntu_1804();
-            planner.run(&catalog, &mut h);
-            h
-        })
-        .collect();
+    let mut fleet = veridevops::stigs::ubuntu::hardened_fleet(32);
 
     let mut tracing = SocTracing::new(Journal::new(), 11);
     tracing.slo = Some(SloPolicy {
@@ -172,13 +165,7 @@ fn main() {
         },
     )
     .expect("valid config");
-    let mut fleet2: Vec<veridevops::host::UnixHost> = (0..32)
-        .map(|_| {
-            let mut h = veridevops::host::UnixHost::baseline_ubuntu_1804();
-            planner.run(&catalog, &mut h);
-            h
-        })
-        .collect();
+    let mut fleet2 = veridevops::stigs::ubuntu::hardened_fleet(32);
     engine.run_traced(
         &mut fleet2,
         &SocMetrics::new(),

@@ -11,21 +11,12 @@
 //!
 //! Run with: `cargo run --example soc_fleet`
 
-use veridevops::core::RemediationPlanner;
-use veridevops::host::UnixHost;
 use veridevops::soc::{RemediationConfig, SocConfig, SocEngine};
 use veridevops::stigs::ubuntu;
 
 fn main() {
     let catalog = ubuntu::catalog();
-    let planner = RemediationPlanner::default();
-    let mut fleet: Vec<UnixHost> = (0..100)
-        .map(|_| {
-            let mut h = UnixHost::baseline_ubuntu_1804();
-            planner.run(&catalog, &mut h);
-            h
-        })
-        .collect();
+    let mut fleet = ubuntu::hardened_fleet(100);
 
     let config = SocConfig {
         duration: 500,
