@@ -29,13 +29,11 @@ done
 
 echo "==> exp_report --json --journal"
 cargo run -p vdo-bench --bin exp_report --release --quiet -- --json target/exp_report.json --journal target/journal.jsonl > /dev/null
-python3 -c "import json; json.load(open('target/exp_report.json'))" 2> /dev/null \
-  || echo "   (python3 unavailable — skipping JSON validation)"
-python3 -c "import json; [json.loads(l) for l in open('target/journal.jsonl')]" 2> /dev/null \
-  || echo "   (python3 unavailable — skipping JSONL validation)"
+python3 -c "import json; json.load(open('target/exp_report.json'))"
+python3 -c "import json; [json.loads(l) for l in open('target/journal.jsonl')]"
 
 echo "==> E15 latency budget (smoke p99 vs documented budget)"
-python3 - << 'EOF' 2> /dev/null || echo "   (python3 unavailable — budget asserted in-binary by exp_report)"
+python3 - << 'EOF'
 import json
 smoke = json.load(open('target/exp_report.json'))['e15_server']['smoke']
 assert smoke['within_budget'], \
@@ -44,7 +42,7 @@ print(f"   p99 {smoke['p99_ticks']:.1f} rounds <= budget {smoke['budget_ticks']}
 EOF
 
 echo "==> E16 fleet-scale budget (100k-host smoke vs pinned memory + latency budgets)"
-python3 - << 'EOF' 2> /dev/null || echo "   (python3 unavailable — budgets asserted in-binary by exp_report)"
+python3 - << 'EOF'
 import json
 smoke = json.load(open('target/exp_report.json'))['e16_fleet_scale']['smoke']
 assert smoke['within_budget'], (
@@ -59,7 +57,7 @@ print(f"   {smoke['hosts']} hosts: {smoke['bytes_per_host']:.1f} B/host "
 EOF
 
 echo "==> E17 incremental-analysis budget (1%-touch commit vs full re-run)"
-python3 - << 'EOF' 2> /dev/null || echo "   (python3 unavailable — budget asserted in-binary by exp_report)"
+python3 - << 'EOF'
 import json
 smoke = json.load(open('target/exp_report.json'))['e17_incremental_analysis']['smoke']
 assert smoke['within_budget'], (
@@ -74,7 +72,7 @@ print(f"   {smoke['entries']} entries, {smoke['commits']} commits touching "
 EOF
 
 echo "==> E18 journal/replay budget (size ratio vs JSONL + replay latency)"
-python3 - << 'EOF' 2> /dev/null || echo "   (python3 unavailable — budgets asserted in-binary by exp_report)"
+python3 - << 'EOF'
 import json
 e18 = json.load(open('target/exp_report.json'))['e18_journal_replay']
 smoke = e18['smoke']
@@ -92,7 +90,7 @@ test -n "$(ls target/e18_compact/seg-*.vdoj 2> /dev/null)" \
   || { echo "E18 compacted journal segments missing from target/e18_compact"; exit 1; }
 
 echo "==> E19 telemetry-plane budget (overhead + sampling ratio + alert latency)"
-python3 - << 'EOF' 2> /dev/null || echo "   (python3 unavailable — budgets asserted in-binary by exp_report)"
+python3 - << 'EOF'
 import json
 e19 = json.load(open('target/exp_report.json'))['e19_telemetry_plane']
 smoke = e19['smoke']

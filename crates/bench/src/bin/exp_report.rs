@@ -1,6 +1,7 @@
-//! Prints every experiment table from EXPERIMENTS.md in one fast pass
-//! (shape results only — wall-clock measurements come from
-//! `cargo bench --workspace`).
+//! Prints every experiment table from EXPERIMENTS.md in one pass and
+//! asserts the experiments' in-binary budgets. End-to-end throughput
+//! and latency of the whole loop come from the repository benchmark
+//! (`python3 perfbench/run.py`), not from this binary.
 //!
 //! Run with: `cargo run -p vdo-bench --bin exp_report --release`
 //!
@@ -13,7 +14,7 @@
 //! workload and writes its event journal as JSON Lines — the artifact
 //! CI uploads next to the JSON report.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::json::Value;
 use serde::Serialize;
@@ -753,9 +754,64 @@ fn e11_soc_engine() -> Value {
             ("identical", Value::String(identical.to_string())),
         ]));
     }
+
+    say!("\n   worker-pool scaling (1,000 hosts, 100 ticks, 200us simulated I/O per batch):");
+    say!(
+        "{:>8} {:>10} {:>10} {:>8} {:>12}",
+        "WORKERS",
+        "WALL MS",
+        "INCIDENTS",
+        "STEALS",
+        "EVENTS/SEC"
+    );
+    let mut reference: Option<String> = None;
+    let mut worker_rows = Vec::new();
+    for workers in [1usize, 2, 4, 8, 16] {
+        let mut fleet = ubuntu::hardened_fleet(1_000);
+        let engine = SocEngine::new(
+            &catalog,
+            SocConfig {
+                duration: 100,
+                drift_rate: 0.02,
+                workers,
+                shards: 32,
+                seed: 11,
+                io_latency: Duration::from_micros(200),
+                ..SocConfig::default()
+            },
+        )
+        .expect("valid config");
+        let t0 = Instant::now();
+        let report = engine.run(&mut fleet);
+        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let log = report.incident_log();
+        match &reference {
+            None => reference = Some(log),
+            Some(expected) => assert_eq!(*expected, log, "incident log varies with workers"),
+        }
+        say!(
+            "{:>8} {:>10.1} {:>10} {:>8} {:>12.0}",
+            workers,
+            wall_ms,
+            report.incidents.len(),
+            report.metrics.steals,
+            report.metrics.events_per_sec
+        );
+        worker_rows.push(serde::json::object([
+            ("workers", Value::UInt(workers as u64)),
+            ("wall_ms", Value::Float(wall_ms)),
+            ("incidents", Value::UInt(report.incidents.len() as u64)),
+            ("steals", Value::UInt(report.metrics.steals)),
+            (
+                "events_per_sec",
+                Value::Float(report.metrics.events_per_sec),
+            ),
+        ]));
+    }
     serde::json::object([
         ("scaling", Value::Array(scaling_rows)),
         ("determinism", Value::Array(determinism_rows)),
+        ("worker_scaling", Value::Array(worker_rows)),
     ])
 }
 

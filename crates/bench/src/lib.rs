@@ -1,9 +1,11 @@
-//! # vdo-bench — shared helpers for the experiment/bench harness
+//! # vdo-bench — the experiment harness
 //!
-//! The Criterion benches under `benches/` regenerate every experiment in
-//! `EXPERIMENTS.md`; this library hosts the workload construction shared
-//! between them and the `exp_report` binary that prints the experiment
-//! tables without Criterion's statistical machinery.
+//! The `exp_report` binary regenerates every experiment table in
+//! `EXPERIMENTS.md` and asserts the CI budgets; this library hosts its
+//! workload constructors, the larger experiment sections (E15–E19),
+//! and the stdout/stderr routing of the tables. Throughput and latency
+//! of the whole loop are measured by the repository benchmark
+//! (`perfbench/`), not here.
 
 pub mod e15;
 pub mod e16;

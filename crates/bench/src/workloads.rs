@@ -1,10 +1,9 @@
-//! Workload constructors shared by the Criterion benches and the
-//! `exp_report` binary. Every experiment in EXPERIMENTS.md names the
-//! function here that builds its input, so the published numbers are
-//! regenerable from one place.
+//! Workload constructors for the `exp_report` binary. Every experiment
+//! in EXPERIMENTS.md names the function here that builds its input, so
+//! the published numbers are regenerable from one place.
 
 use vdo_corpus::requirements::{generate, Corpus, CorpusConfig};
-use vdo_corpus::traces::{throttle_log, ViolationTrace};
+use vdo_corpus::traces::throttle_log;
 use vdo_gwt::GraphModel;
 use vdo_specpat::Kripke;
 use vdo_tears::SignalTrace;
@@ -18,13 +17,6 @@ pub fn corpus(size: usize) -> Corpus {
         smell_rate: 0.25,
         seed: 7,
     })
-}
-
-/// E4/A2 — invariant-violation trace of `len` ticks with the violation
-/// planted at 60 % of the way in.
-#[must_use]
-pub fn violation_trace(len: u64) -> ViolationTrace {
-    ViolationTrace::at(len, len * 6 / 10)
 }
 
 /// E6 — propositional response trace of `len` ticks: a trigger every 50
@@ -107,8 +99,6 @@ mod tests {
     #[test]
     fn workloads_have_expected_shapes() {
         assert_eq!(corpus(10).documents.len(), 10);
-        let vt = violation_trace(100);
-        assert_eq!(vt.violation_tick, 60);
         assert_eq!(response_observations(100).len(), 100);
         let k = ring_kripke(32);
         assert!(k.is_total());

@@ -20,8 +20,8 @@
 //!
 //! 1. **Near-zero cost when disabled.** [`Registry::disabled`] (also
 //!    the `Default`) hands out inert instruments whose every operation
-//!    is a branch on `None` — experiment E12 bounds the overhead on
-//!    the SOC fleet workload at under 5%.
+//!    is a branch on `None` — experiment E12 reports the overhead on
+//!    the SOC fleet workload, which stays within run-to-run noise.
 //! 2. **Determinism.** Counter values, histogram observation counts,
 //!    and span entry counts depend only on the instrumented workload,
 //!    never on scheduling; equal-seed runs produce identical
@@ -57,4 +57,4 @@ pub use metrics::{
 };
 pub use registry::{Registry, Snapshot};
 pub use span::{SpanGuard, SpanSnapshot};
-pub use window::{Ewma, WindowCounter, WindowHistogram};
+pub use window::{WindowCounter, WindowHistogram};

@@ -9,14 +9,13 @@
 //! result depends only on the observation stream — deterministic at
 //! any worker count when fed from the engine's main thread.
 //!
-//! Three shapes cover the burn-rate rules downstream:
+//! Two shapes cover the burn-rate rules downstream:
 //!
 //! * [`WindowCounter`] — windowed sums and rates over an event count;
 //! * [`WindowHistogram`] — windowed bucket counts frozen into an
 //!   ordinary [`HistogramSnapshot`], so window quantiles and
 //!   fraction-above come from the same estimators the cumulative
-//!   histograms use;
-//! * [`Ewma`] — exponentially weighted smoothing for trend readouts.
+//!   histograms use.
 //!
 //! Sliding windows are the primary API (`sum`, `rate`,
 //! `window_snapshot` over the trailing `window` ticks); tumbling
@@ -211,39 +210,6 @@ impl WindowHistogram {
     }
 }
 
-/// Exponentially weighted moving average: `v ← α·x + (1-α)·v`, seeded
-/// by the first observation.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// An EWMA with smoothing factor `alpha` (clamped to `(0, 1]`).
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        Ewma {
-            alpha: alpha.clamp(f64::EPSILON, 1.0),
-            value: None,
-        }
-    }
-
-    /// Feeds one observation.
-    pub fn observe(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-            None => x,
-        });
-    }
-
-    /// The smoothed value (`None` before any observation).
-    #[must_use]
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,18 +294,5 @@ mod tests {
         };
         assert_eq!(run(), run());
         assert_eq!(run().count, 4);
-    }
-
-    #[test]
-    fn ewma_converges_toward_a_step() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.observe(0.0);
-        assert_eq!(e.value(), Some(0.0));
-        for _ in 0..20 {
-            e.observe(10.0);
-        }
-        let v = e.value().unwrap();
-        assert!(v > 9.99, "converged: {v}");
     }
 }

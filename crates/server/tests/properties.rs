@@ -43,7 +43,7 @@ fn run_with_workers(tenants: usize, seed: u64, workers: usize) -> Vec<String> {
 }
 
 proptest! {
-    /// The acceptance criterion of experiment E15: with equal seeds the
+    /// The acceptance condition of experiment E15: with equal seeds the
     /// per-tenant verdict logs are byte-identical at any worker count.
     /// Every divergence here is a real race — a verdict that depended
     /// on which worker ran a batch or in which order rounds merged.

@@ -1,16 +1,13 @@
 //! Resident streaming SLO evaluation — the live half of the
 //! telemetry plane.
 //!
-//! [`SloEngine`](crate::SloEngine) evaluates burn-rate rules over
-//! whole-registry snapshot history: correct, but each evaluation
-//! clones and diffs every instrument, which is a post-hoc report's
-//! cost model, not a per-tick resident's. [`LiveSloEngine`] keeps the
-//! *same* rule semantics (multi-window burn rates, fire on the breach
-//! transition, identical `slo.alert` / `slo.resolved` journal events
-//! and deterministic alert traces) but is fed per event into
+//! [`LiveSloEngine`] evaluates [`BurnRateRule`]s with multi-window
+//! burn rates and fires on the transition into breach, emitting
+//! `slo.alert` / `slo.resolved` journal events with deterministic
+//! alert traces. It is fed per event into
 //! [`vdo_obs::WindowCounter`] / [`vdo_obs::WindowHistogram`] rings —
 //! O(1) per observation, O(window) per rule per evaluation, no
-//! snapshots anywhere.
+//! registry snapshots anywhere.
 //!
 //! Feed pattern, once per engine tick on the main thread:
 //!
@@ -42,14 +39,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use vdo_obs::{Ewma, WindowCounter, WindowHistogram, TICK_BOUNDS};
+use vdo_obs::{WindowCounter, WindowHistogram, TICK_BOUNDS};
 
 use crate::context::TraceContext;
 use crate::journal::{Event, Journal};
 use crate::slo::{fraction_above, BurnRateRule, SloAlert, SloSignal};
-
-/// Smoothing factor of the per-rule burn-trend EWMA.
-const BURN_EWMA_ALPHA: f64 = 0.3;
 
 /// The streaming burn-rate evaluator: pre-registered window rings for
 /// every signal a rule references, fed per event, evaluated per tick.
@@ -60,12 +54,9 @@ pub struct LiveSloEngine {
     counters: BTreeMap<String, WindowCounter>,
     histograms: BTreeMap<String, WindowHistogram>,
     firing: BTreeSet<String>,
-    /// Smoothed long-window burn per rule — a trend readout for
-    /// dashboards, not part of the alert decision.
-    burn_trend: BTreeMap<String, Ewma>,
     /// `Some(first_tick)` once [`end_tick`](LiveSloEngine::end_tick)
-    /// has run — the first call only seeds the windows, mirroring the
-    /// snapshot engine's need for a delta base.
+    /// has run — the first call only seeds the windows, so every
+    /// evaluation has a base tick to burn against.
     started: Option<u64>,
 }
 
@@ -84,7 +75,6 @@ impl LiveSloEngine {
             .max(1) as usize;
         let mut counters = BTreeMap::new();
         let mut histograms = BTreeMap::new();
-        let mut burn_trend = BTreeMap::new();
         for rule in &rules {
             match &rule.signal {
                 SloSignal::CounterRatio { bad, total } => {
@@ -101,7 +91,6 @@ impl LiveSloEngine {
                         .or_insert_with(|| WindowHistogram::new(&TICK_BOUNDS, horizon));
                 }
             }
-            burn_trend.insert(rule.name.clone(), Ewma::new(BURN_EWMA_ALPHA));
         }
         LiveSloEngine {
             rules,
@@ -109,7 +98,6 @@ impl LiveSloEngine {
             counters,
             histograms,
             firing: BTreeSet::new(),
-            burn_trend,
             started: None,
         }
     }
@@ -124,13 +112,6 @@ impl LiveSloEngine {
     #[must_use]
     pub fn firing(&self) -> Vec<&str> {
         self.firing.iter().map(String::as_str).collect()
-    }
-
-    /// Smoothed long-window burn rate of `rule` (`None` for unknown
-    /// rules or before the first evaluation).
-    #[must_use]
-    pub fn burn_trend(&self, rule: &str) -> Option<f64> {
-        self.burn_trend.get(rule).and_then(Ewma::value)
     }
 
     /// Adds `n` to counter signal `name` at `tick`. Names no rule
@@ -169,12 +150,12 @@ impl LiveSloEngine {
         }
     }
 
-    /// Evaluates every rule at the end of `tick`. Semantics match
-    /// [`SloEngine::observe`](crate::SloEngine::observe): a rule whose
-    /// long **and** short windows burn at `>= factor` transitions into
+    /// Evaluates every rule at the end of `tick`. A rule whose long
+    /// **and** short windows burn at `>= factor` transitions into
     /// breach, producing one [`SloAlert`] mirrored into `journal` as an
     /// `slo.alert` error event; leaving breach emits `slo.resolved`.
-    /// The first call only seeds the windows.
+    /// Alerts fire on the transition only, not on every tick in
+    /// breach. The first call only seeds the windows.
     pub fn end_tick(&mut self, tick: u64, journal: &Journal) -> Vec<SloAlert> {
         let mut alerts = Vec::new();
         if self.started.is_none() {
@@ -186,9 +167,6 @@ impl LiveSloEngine {
             let objective = rule.objective.max(1e-9);
             let long_burn = self.bad_fraction(&rule, tick, rule.long_window) / objective;
             let short_burn = self.bad_fraction(&rule, tick, rule.short_window) / objective;
-            if let Some(trend) = self.burn_trend.get_mut(&rule.name) {
-                trend.observe(long_burn);
-            }
             let breached = long_burn >= rule.factor && short_burn >= rule.factor;
             let was_firing = self.firing.contains(&rule.name);
             if breached && !was_firing {
@@ -287,6 +265,13 @@ mod tests {
                 assert_eq!(a.rule, "gate-pass-rate");
                 assert!((20..32).contains(&a.at), "fires inside the burn: {}", a.at);
             }
+            if t == 29 {
+                assert_eq!(
+                    live.firing(),
+                    ["gate-pass-rate"],
+                    "in breach at the burn's end"
+                );
+            }
         }
         assert_eq!(fired, 1, "alerts fire on the breach transition only");
         assert!(live.firing().is_empty(), "resolved after the burn drains");
@@ -294,7 +279,6 @@ mod tests {
         assert_eq!(snap.events_named("slo.alert").len(), 1);
         assert_eq!(snap.events_named("slo.resolved").len(), 1);
         assert!(snap.events_named("slo.alert")[0].trace.is_some());
-        assert!(live.burn_trend("gate-pass-rate").is_some());
     }
 
     #[test]
@@ -335,8 +319,8 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(fa, fb);
         assert!(!a.is_empty(), "50% rejection must breach");
-        // The alert trace matches the snapshot engine's minting rule,
-        // so downstream consumers cannot tell the evaluators apart.
+        // Alert traces are minted from the seed and the rule name, so
+        // consumers can derive an alert's identity without the engine.
         let expected = TraceContext::root(3, "slo:gate-pass-rate").child_u64("alert", a[0].at);
         assert_eq!(a[0].trace, expected);
     }
@@ -349,6 +333,5 @@ mod tests {
         live.observe_value("unknown.histogram", 0, 99);
         assert!(live.end_tick(0, &journal).is_empty());
         assert!(live.end_tick(1, &journal).is_empty());
-        assert!(live.burn_trend("nope").is_none());
     }
 }

@@ -1,29 +1,23 @@
-//! Multi-window burn-rate SLO evaluation over successive metric
-//! snapshots.
+//! Multi-window burn-rate SLO rules and alerts.
 //!
 //! A [`BurnRateRule`] states an objective as an allowed bad-event
-//! fraction (the error budget). The engine evaluates each rule over
-//! two trailing windows of the cumulative [`vdo_obs::Snapshot`] stream
-//! — using [`Snapshot::delta`](vdo_obs::Snapshot::delta) to isolate
-//! each window — and fires when **both** windows burn budget faster
-//! than `factor` (the Google SRE multi-window discipline: the long
-//! window proves the problem is real, the short window proves it is
-//! still happening). Alerts are emitted into the [`Journal`] with a
-//! deterministic [`TraceContext`] and returned to the caller, which
-//! can publish them onto the SOC bus to close observability back into
-//! reaction.
+//! fraction (the error budget). [`LiveSloEngine`](crate::LiveSloEngine)
+//! evaluates each rule over two trailing windows and fires when
+//! **both** windows burn budget faster than `factor` (the Google SRE
+//! multi-window discipline: the long window proves the problem is
+//! real, the short window proves it is still happening). Alerts are
+//! emitted into the [`Journal`](crate::Journal) with a deterministic
+//! [`TraceContext`] and returned to the caller, which can publish them
+//! onto the SOC bus to close observability back into reaction.
 //!
 //! A latency SLO ("p95 detection latency under N ticks") is a burn
 //! rate too: [`SloSignal::HistogramAbove`] treats every observation
 //! above the threshold as a bad event, so `objective = 0.05` *is* the
 //! p95 target.
 
-use std::collections::{BTreeSet, VecDeque};
-
-use vdo_obs::{HistogramSnapshot, Snapshot};
+use vdo_obs::HistogramSnapshot;
 
 use crate::context::TraceContext;
-use crate::journal::{Event, Journal};
 
 /// What a rule counts as bad events within a window.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,213 +105,9 @@ pub(crate) fn fraction_above(h: &HistogramSnapshot, threshold: u64) -> f64 {
     (1.0 - good / h.count as f64).clamp(0.0, 1.0)
 }
 
-/// The evaluator: rules plus trailing snapshot history plus firing
-/// state (alerts fire on the transition into breach, not every tick).
-#[derive(Debug)]
-pub struct SloEngine {
-    rules: Vec<BurnRateRule>,
-    seed: u64,
-    history: VecDeque<(u64, Snapshot)>,
-    firing: BTreeSet<String>,
-}
-
-impl SloEngine {
-    /// Creates the engine. `seed` roots the alert trace contexts, so
-    /// equal-seed runs mint identical alert ids.
-    #[must_use]
-    pub fn new(seed: u64, rules: Vec<BurnRateRule>) -> Self {
-        SloEngine {
-            rules,
-            seed,
-            history: VecDeque::new(),
-            firing: BTreeSet::new(),
-        }
-    }
-
-    /// The configured rules.
-    #[must_use]
-    pub fn rules(&self) -> &[BurnRateRule] {
-        &self.rules
-    }
-
-    /// Rules currently in breach.
-    #[must_use]
-    pub fn firing(&self) -> Vec<&str> {
-        self.firing.iter().map(String::as_str).collect()
-    }
-
-    /// The cumulative snapshot at or before `at - window`, for window
-    /// deltas. Falls back to the oldest snapshot when the history is
-    /// younger than the window (partial-window evaluation).
-    fn window_base(&self, at: u64, window: u64) -> Option<&(u64, Snapshot)> {
-        let cutoff = at.saturating_sub(window);
-        self.history
-            .iter()
-            .rev()
-            .find(|(t, _)| *t <= cutoff)
-            .or_else(|| self.history.front())
-    }
-
-    fn bad_fraction(rule: &BurnRateRule, window_delta: &Snapshot) -> f64 {
-        match &rule.signal {
-            SloSignal::CounterRatio { bad, total } => {
-                let total = window_delta.counter(total).unwrap_or(0);
-                if total == 0 {
-                    0.0
-                } else {
-                    window_delta.counter(bad).unwrap_or(0) as f64 / total as f64
-                }
-            }
-            SloSignal::HistogramAbove {
-                histogram,
-                threshold,
-            } => window_delta
-                .histograms
-                .get(histogram)
-                .map_or(0.0, |h| fraction_above(h, *threshold)),
-        }
-    }
-
-    /// Feeds the cumulative snapshot observed at logical time `at`.
-    /// Every rule whose long **and** short windows burn at
-    /// `>= factor` transitions into breach and produces one
-    /// [`SloAlert`], mirrored into `journal` as an `slo.alert` error
-    /// event; a rule leaving breach emits `slo.resolved`. Evaluation
-    /// is a pure function of the snapshot stream, so equal-seed runs
-    /// alert identically.
-    pub fn observe(&mut self, at: u64, snapshot: &Snapshot, journal: &Journal) -> Vec<SloAlert> {
-        let mut alerts = Vec::new();
-        if !self.history.is_empty() {
-            for rule in &self.rules {
-                let objective = rule.objective.max(1e-9);
-                let burn = |window: u64| -> f64 {
-                    let Some((_, base)) = self.window_base(at, window) else {
-                        return 0.0;
-                    };
-                    Self::bad_fraction(rule, &snapshot.delta(base)) / objective
-                };
-                let long_burn = burn(rule.long_window);
-                let short_burn = burn(rule.short_window);
-                let breached = long_burn >= rule.factor && short_burn >= rule.factor;
-                let was_firing = self.firing.contains(&rule.name);
-                if breached && !was_firing {
-                    self.firing.insert(rule.name.clone());
-                    let root = TraceContext::root(self.seed, &format!("slo:{}", rule.name));
-                    let trace = root.child_u64("alert", at);
-                    journal.emit(
-                        Event::error("slo.alert")
-                            .at(at)
-                            .trace(trace)
-                            .field("rule", rule.name.clone())
-                            .field("long_burn", long_burn)
-                            .field("short_burn", short_burn)
-                            .field("factor", rule.factor),
-                    );
-                    alerts.push(SloAlert {
-                        rule: rule.name.clone(),
-                        at,
-                        long_burn,
-                        short_burn,
-                        trace,
-                    });
-                } else if !breached && was_firing {
-                    self.firing.remove(&rule.name);
-                    let root = TraceContext::root(self.seed, &format!("slo:{}", rule.name));
-                    journal.emit(
-                        Event::info("slo.resolved")
-                            .at(at)
-                            .trace(root.child_u64("resolved", at))
-                            .field("rule", rule.name.clone()),
-                    );
-                }
-            }
-        }
-        self.history.push_back((at, snapshot.clone()));
-        let horizon = self.rules.iter().map(|r| r.long_window).max().unwrap_or(0);
-        while self.history.len() >= 2 && self.history[1].0 + horizon <= at {
-            self.history.pop_front();
-        }
-        alerts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-
-    fn snap(commits: u64, rejected: u64) -> Snapshot {
-        let mut counters = BTreeMap::new();
-        counters.insert("commits".to_string(), commits);
-        counters.insert("rejected".to_string(), rejected);
-        Snapshot {
-            counters,
-            ..Snapshot::default()
-        }
-    }
-
-    fn gate_rule() -> BurnRateRule {
-        BurnRateRule {
-            name: "gate-pass-rate".into(),
-            signal: SloSignal::CounterRatio {
-                bad: "rejected".into(),
-                total: "commits".into(),
-            },
-            objective: 0.1,
-            long_window: 10,
-            short_window: 2,
-            factor: 2.0,
-        }
-    }
-
-    #[test]
-    fn healthy_stream_never_alerts() {
-        let journal = Journal::new();
-        let mut slo = SloEngine::new(0, vec![gate_rule()]);
-        for t in 0..20 {
-            // 5% rejection rate: half the 10% budget.
-            let alerts = slo.observe(t, &snap(t * 20, t), &journal);
-            assert!(alerts.is_empty(), "t={t}: {alerts:?}");
-        }
-        assert!(slo.firing().is_empty());
-        assert!(journal.snapshot().events_named("slo.alert").is_empty());
-    }
-
-    #[test]
-    fn sustained_burn_fires_once_and_resolves() {
-        let journal = Journal::new();
-        let mut slo = SloEngine::new(7, vec![gate_rule()]);
-        // Phase 1: healthy.
-        for t in 0..5 {
-            slo.observe(t, &snap(t * 20, t), &journal);
-        }
-        // Phase 2: 50% rejection (burn 5× > factor 2).
-        let mut fired = 0;
-        let (c0, r0) = (100, 5);
-        for t in 5..12 {
-            let dt = t - 4;
-            let alerts = slo.observe(t, &snap(c0 + dt * 20, r0 + dt * 10), &journal);
-            fired += alerts.len();
-            for a in &alerts {
-                assert!(a.long_burn >= 2.0 && a.short_burn >= 2.0);
-                assert_eq!(a.rule, "gate-pass-rate");
-            }
-        }
-        assert_eq!(fired, 1, "alerts fire on the breach transition only");
-        assert_eq!(slo.firing(), ["gate-pass-rate"]);
-        // Phase 3: clean again long enough to drain both windows.
-        let (c1, r1) = (240, 75);
-        for t in 12..40 {
-            let dt = t - 11;
-            slo.observe(t, &snap(c1 + dt * 20, r1), &journal);
-        }
-        assert!(slo.firing().is_empty());
-        let snapshot = journal.snapshot();
-        assert_eq!(snapshot.events_named("slo.alert").len(), 1);
-        assert_eq!(snapshot.events_named("slo.resolved").len(), 1);
-        let alert = snapshot.events_named("slo.alert")[0];
-        assert!(alert.trace.is_some(), "alerts carry causal contexts");
-    }
 
     #[test]
     fn latency_slo_is_a_histogram_above_rule() {
@@ -338,31 +128,5 @@ mod tests {
         // Interpolation inside the (2, 4] bucket: half the bucket.
         let f3 = fraction_above(&h, 3);
         assert!(f3 > 0.10 && f3 < 0.25, "{f3}");
-    }
-
-    #[test]
-    fn alerts_are_deterministic_per_seed() {
-        let run = || {
-            let journal = Journal::new();
-            let mut slo = SloEngine::new(3, vec![gate_rule()]);
-            let mut out = Vec::new();
-            for t in 0..10 {
-                out.extend(slo.observe(t, &snap(t * 10, t * 5), &journal));
-            }
-            (out, journal.snapshot().fingerprint())
-        };
-        let (a, fa) = run();
-        let (b, fb) = run();
-        assert_eq!(a, b);
-        assert_eq!(fa, fb);
-        assert!(!a.is_empty(), "50% rejection must breach");
-    }
-
-    #[test]
-    fn empty_history_and_zero_totals_are_quiet() {
-        let journal = Journal::disabled();
-        let mut slo = SloEngine::new(0, vec![gate_rule()]);
-        assert!(slo.observe(0, &snap(0, 0), &journal).is_empty());
-        assert!(slo.observe(1, &snap(0, 0), &journal).is_empty());
     }
 }
