@@ -39,14 +39,11 @@ use vdo_server::{
     LoadConfig, LoadGen, Server, ServerConfig, ServerMetrics, ServerSloPolicy, ServerTracing,
     TenantConfig,
 };
-use vdo_soc::{
-    RemediationConfig, SecEvent, ShardedBus, SloPolicy, SocConfig, SocEngine, SocMetrics,
-    SocTracing,
-};
+use vdo_soc::{RemediationConfig, SecEvent, ShardedBus, SloPolicy, SocConfig, SocEngine};
 use vdo_stigs::ubuntu;
 use vdo_trace::{
     BurnRateRule, DirWriter, Journal, JournalConfig, JournalDir, SamplingPolicy, SamplingSink,
-    Severity, SloSignal,
+    Severity, SloSignal, Telemetry,
 };
 
 /// The pinned smoke budget for the always-on plane: enabled vs the
@@ -210,6 +207,13 @@ pub fn section(scale: &E19Scale) -> Value {
         duration: scale.overhead_ticks,
         ..config.clone()
     };
+    let plane_config = SocConfig {
+        slo: Some(SloPolicy {
+            rules: soc_rules(),
+            period: 1,
+        }),
+        ..overhead_config.clone()
+    };
 
     // -- Overhead: the always-on plane vs the E12 baseline. ------------
     // Three arms, all with the E12 metrics recorder on: `baseline`
@@ -227,8 +231,8 @@ pub fn section(scale: &E19Scale) -> Value {
     for _ in 0..scale.rounds {
         let mut round = [0.0f64; 3];
         for slot in 0..3usize {
-            let tracing = match slot {
-                2 => SocTracing::disabled(),
+            let engine = match slot {
+                2 => SocEngine::new(&catalog, overhead_config.clone()),
                 _ => {
                     let journal = Journal::with_config(JournalConfig {
                         shards: 4,
@@ -239,19 +243,14 @@ pub fn section(scale: &E19Scale) -> Value {
                             Severity::Info
                         },
                     });
-                    let mut t = SocTracing::new(journal, 11);
-                    t.slo = Some(SloPolicy {
-                        rules: soc_rules(),
-                        period: 1,
-                    });
-                    t
+                    SocEngine::new(&catalog, plane_config.clone())
+                        .map(|e| e.with_telemetry(&Telemetry::off().with_journal(journal, 11)))
                 }
-            };
-            let metrics = SocMetrics::new();
+            }
+            .expect("valid config");
             let mut fleet = ubuntu::hardened_fleet(scale.hosts);
-            let engine = SocEngine::new(&catalog, overhead_config.clone()).expect("valid config");
             let t0 = Instant::now();
-            let report = engine.run_traced(&mut fleet, &metrics, &tracing);
+            let report = engine.run(&mut fleet);
             let dt = t0.elapsed().as_secs_f64();
             round[slot] = dt;
             best[slot] = best[slot].min(dt);
@@ -292,12 +291,10 @@ pub fn section(scale: &E19Scale) -> Value {
     let record = |sink: Box<dyn vdo_trace::JournalSink>| {
         let journal = Journal::with_sink(capture, sink);
         let mut fleet = ubuntu::hardened_fleet(scale.hosts);
-        let engine = SocEngine::new(&catalog, config.clone()).expect("valid config");
-        let report = engine.run_traced(
-            &mut fleet,
-            &SocMetrics::new(),
-            &SocTracing::new(journal.clone(), 11),
-        );
+        let report = SocEngine::new(&catalog, config.clone())
+            .expect("valid config")
+            .with_telemetry(&Telemetry::off().with_journal(journal.clone(), 11))
+            .run(&mut fleet);
         journal.sync();
         report
     };

@@ -17,19 +17,25 @@
 //! * [`ops`] — the operations phase: deployed host, seeded drift,
 //!   periodic compliance monitoring, automated remediation, and an
 //!   incident log with exact detection latencies;
-//! * [`run`] — the end-to-end scenario and its metrics (experiment E10).
+//! * [`run`] — the end-to-end scenario and its metrics (experiment E10),
+//!   reporting into one [`vdo_trace::Telemetry`].
 //!
 //! ```
 //! use vdo_pipeline::{PipelineConfig, run};
+//! use vdo_trace::Telemetry;
 //!
-//! let automated = run(&PipelineConfig { seed: 1, ..PipelineConfig::default() });
-//! let manual = run(&PipelineConfig {
-//!     seed: 1,
-//!     requirements_gate: false,
-//!     compliance_gate: false,
-//!     monitor_period: None,
-//!     ..PipelineConfig::default()
-//! });
+//! let off = Telemetry::off();
+//! let automated = run(&PipelineConfig { seed: 1, ..PipelineConfig::default() }, &off);
+//! let manual = run(
+//!     &PipelineConfig {
+//!         seed: 1,
+//!         requirements_gate: false,
+//!         compliance_gate: false,
+//!         monitor_period: None,
+//!         ..PipelineConfig::default()
+//!     },
+//!     &off,
+//! );
 //! assert!(automated.ops.mean_detection_latency() <= manual.ops.mean_detection_latency());
 //! ```
 
@@ -46,4 +52,4 @@ pub use gates::{
 };
 pub use ops::{DriftTarget, Incident, MonitorEngine, OperationsPhase, OpsConfig, OpsReport};
 pub use repo::{Commit, ConfigChange};
-pub use scenario::{run, run_journaled, run_observed, run_traced, PipelineConfig, PipelineReport};
+pub use scenario::{run, PipelineConfig, PipelineReport};

@@ -15,9 +15,9 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use vdo_core::{Catalog, RemediationPlanner};
 use vdo_host::{DriftInjector, HostWrite};
-use vdo_soc::{DetectionKind, SocConfig, SocEngine, SocHost, SocMetrics, SocTracing};
+use vdo_soc::{DetectionKind, SocConfig, SocEngine, SocHost, SocMetrics};
 use vdo_temporal::Trace;
-use vdo_trace::{Event, Journal, TraceContext};
+use vdo_trace::{Event, Telemetry, TraceContext};
 
 /// A host class the drift injector knows how to degrade.
 /// Blanket-implemented for every [`HostWrite`] type, so one
@@ -190,59 +190,43 @@ impl Serialize for OpsReport {
 /// [`DriftTarget`] class.
 pub struct OperationsPhase<'a, E> {
     catalog: &'a Catalog<E>,
-    planner: RemediationPlanner,
+    telemetry: Telemetry,
 }
 
 impl<'a, E: DriftTarget + SocHost> OperationsPhase<'a, E> {
-    /// Creates the phase runner over a compliance catalogue.
+    /// Creates the phase runner over a compliance catalogue, with
+    /// telemetry off.
     #[must_use]
     pub fn new(catalog: &'a Catalog<E>) -> Self {
         OperationsPhase {
             catalog,
-            planner: RemediationPlanner::default(),
+            telemetry: Telemetry::off(),
         }
+    }
+
+    /// Attaches the run's telemetry. The registry times each phase
+    /// under the `pipeline/ops` span and records the `ops.*` counters
+    /// (`drift_events`, `checks`, `incidents`, `noncompliant_ticks`);
+    /// the event-driven path additionally surfaces the deterministic
+    /// SOC engine counters as `ops.soc.*`, the polling path the
+    /// remediation planner's `core.*` counters. The journal records
+    /// the phase's causal chain: every incident carries a
+    /// [`TraceContext`] rooted at `TraceContext::root(trace_seed,
+    /// finding_id)` — the same roots the scenario mints at requirement
+    /// ingestion — and detections/remediations become journal events.
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
+        self.telemetry = telemetry.clone();
+        self
     }
 
     /// Runs the phase, mutating the deployed host in place.
     pub fn run(&self, host: &mut E, config: &OpsConfig) -> OpsReport {
-        self.run_observed(host, config, &vdo_obs::Registry::disabled())
-    }
-
-    /// Like [`run`](Self::run), but times the phase under the
-    /// `pipeline/ops` span and records the `ops.*` counters
-    /// (`drift_events`, `checks`, `incidents`, `noncompliant_ticks`) in
-    /// `obs`. On the event-driven path the deterministic SOC engine
-    /// counters additionally surface as `ops.soc.*`; on the polling path
-    /// the remediation planner's `core.*` counters accumulate.
-    pub fn run_observed(
-        &self,
-        host: &mut E,
-        config: &OpsConfig,
-        obs: &vdo_obs::Registry,
-    ) -> OpsReport {
-        self.run_traced(host, config, obs, &Journal::default(), 0)
-    }
-
-    /// Like [`run_observed`](Self::run_observed), but additionally
-    /// journals the phase's causal chain: every incident carries a
-    /// [`TraceContext`] rooted at `TraceContext::root(trace_seed,
-    /// finding_id)` — the same roots the scenario mints at requirement
-    /// ingestion — and detections/remediations are recorded as journal
-    /// events. A disabled journal makes this exactly `run_observed`.
-    pub fn run_traced(
-        &self,
-        host: &mut E,
-        config: &OpsConfig,
-        obs: &vdo_obs::Registry,
-        journal: &Journal,
-        trace_seed: u64,
-    ) -> OpsReport {
+        let obs = &self.telemetry.obs;
         let _span = obs.span("pipeline/ops");
         let report = match config.engine {
-            MonitorEngine::Polling => self.run_polling(host, config, obs, journal, trace_seed),
-            MonitorEngine::EventDriven { workers } => {
-                self.run_event_driven(host, config, workers, obs, journal, trace_seed)
-            }
+            MonitorEngine::Polling => self.run_polling(host, config),
+            MonitorEngine::EventDriven { workers } => self.run_event_driven(host, config, workers),
         };
         obs.counter("ops.drift_events").add(report.drift_events);
         obs.counter("ops.checks").add(report.checks);
@@ -258,15 +242,7 @@ impl<'a, E: DriftTarget + SocHost> OperationsPhase<'a, E> {
     /// content match the polling engine for equal seeds (same RNG
     /// streams), so equal-seed runs of both engines face identical
     /// violation histories.
-    fn run_event_driven(
-        &self,
-        host: &mut E,
-        config: &OpsConfig,
-        workers: usize,
-        obs: &vdo_obs::Registry,
-        journal: &Journal,
-        trace_seed: u64,
-    ) -> OpsReport {
+    fn run_event_driven(&self, host: &mut E, config: &OpsConfig, workers: usize) -> OpsReport {
         let soc_config = SocConfig {
             duration: config.duration,
             drift_rate: config.drift_rate,
@@ -275,19 +251,17 @@ impl<'a, E: DriftTarget + SocHost> OperationsPhase<'a, E> {
             seed: config.seed,
             ..SocConfig::default()
         };
-        let engine = SocEngine::new(self.catalog, soc_config)
-            .expect("nonzero workers/shards/capacity by construction");
+        let obs = &self.telemetry.obs;
         let metrics = if obs.is_enabled() {
             SocMetrics::in_registry(obs, "ops.soc")
         } else {
             SocMetrics::new()
         };
-        let tracing = if journal.is_enabled() {
-            SocTracing::new(journal.clone(), trace_seed)
-        } else {
-            SocTracing::disabled()
-        };
-        let report = engine.run_traced(std::slice::from_mut(host), &metrics, &tracing);
+        let engine = SocEngine::new(self.catalog, soc_config)
+            .expect("nonzero workers/shards/capacity by construction")
+            .with_telemetry(&self.telemetry)
+            .with_metrics(metrics);
+        let report = engine.run(std::slice::from_mut(host));
         OpsReport {
             incidents: report
                 .incidents
@@ -309,14 +283,9 @@ impl<'a, E: DriftTarget + SocHost> OperationsPhase<'a, E> {
     }
 
     /// The paper's polling baseline.
-    fn run_polling(
-        &self,
-        host: &mut E,
-        config: &OpsConfig,
-        obs: &vdo_obs::Registry,
-        journal: &Journal,
-        trace_seed: u64,
-    ) -> OpsReport {
+    fn run_polling(&self, host: &mut E, config: &OpsConfig) -> OpsReport {
+        let journal = &self.telemetry.journal;
+        let trace_seed = self.telemetry.trace_seed;
         let tracing_on = journal.is_enabled();
         if tracing_on {
             // Declare the requirements this phase watches: one root per
@@ -331,14 +300,7 @@ impl<'a, E: DriftTarget + SocHost> OperationsPhase<'a, E> {
                 );
             }
         }
-        let planner = if tracing_on {
-            self.planner
-                .clone()
-                .observed(obs.clone())
-                .traced(journal.clone(), trace_seed)
-        } else {
-            self.planner.clone().observed(obs.clone())
-        };
+        let planner = RemediationPlanner::default().with_telemetry(&self.telemetry);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut drifter = DriftInjector::new(config.seed.wrapping_mul(31).wrapping_add(7));
         let mut incidents = Vec::new();
@@ -443,6 +405,7 @@ mod tests {
     use super::*;
     use vdo_host::UnixHost;
     use vdo_stigs::ubuntu;
+    use vdo_trace::Journal;
 
     fn compliant_host(catalog: &Catalog<UnixHost>) -> UnixHost {
         let mut h = UnixHost::baseline_ubuntu_1804();
@@ -652,17 +615,18 @@ mod tests {
         let catalog = ubuntu::catalog();
         let mut host = compliant_host(&catalog);
         let registry = vdo_obs::Registry::new();
-        let report = OperationsPhase::new(&catalog).run_observed(
-            &mut host,
-            &OpsConfig {
-                engine: MonitorEngine::EventDriven { workers: 2 },
-                duration: 1_000,
-                drift_rate: 0.05,
-                seed: 3,
-                ..OpsConfig::default()
-            },
-            &registry,
-        );
+        let report = OperationsPhase::new(&catalog)
+            .with_telemetry(&Telemetry::off().with_obs(registry.clone()))
+            .run(
+                &mut host,
+                &OpsConfig {
+                    engine: MonitorEngine::EventDriven { workers: 2 },
+                    duration: 1_000,
+                    drift_rate: 0.05,
+                    seed: 3,
+                    ..OpsConfig::default()
+                },
+            );
         let snap = registry.snapshot();
         assert_eq!(snap.counter("ops.drift_events"), Some(report.drift_events));
         assert_eq!(snap.counter("ops.checks"), Some(report.checks));
@@ -688,14 +652,15 @@ mod tests {
         for workers in [1, 2, 4] {
             let mut host = compliant_host(&catalog);
             let registry = vdo_obs::Registry::new();
-            OperationsPhase::new(&catalog).run_observed(
-                &mut host,
-                &OpsConfig {
-                    engine: MonitorEngine::EventDriven { workers },
-                    ..base
-                },
-                &registry,
-            );
+            OperationsPhase::new(&catalog)
+                .with_telemetry(&Telemetry::off().with_obs(registry.clone()))
+                .run(
+                    &mut host,
+                    &OpsConfig {
+                        engine: MonitorEngine::EventDriven { workers },
+                        ..base
+                    },
+                );
             fingerprints.push(registry.snapshot().deterministic_fingerprint());
         }
         assert_eq!(fingerprints[0], fingerprints[1]);
@@ -707,19 +672,18 @@ mod tests {
         let catalog = ubuntu::catalog();
         let mut host = compliant_host(&catalog);
         let journal = Journal::new();
-        let report = OperationsPhase::new(&catalog).run_traced(
-            &mut host,
-            &OpsConfig {
-                engine: MonitorEngine::EventDriven { workers: 2 },
-                duration: 1_500,
-                drift_rate: 0.05,
-                seed: 3,
-                ..OpsConfig::default()
-            },
-            &vdo_obs::Registry::disabled(),
-            &journal,
-            21,
-        );
+        let report = OperationsPhase::new(&catalog)
+            .with_telemetry(&Telemetry::off().with_journal(journal.clone(), 21))
+            .run(
+                &mut host,
+                &OpsConfig {
+                    engine: MonitorEngine::EventDriven { workers: 2 },
+                    duration: 1_500,
+                    drift_rate: 0.05,
+                    seed: 3,
+                    ..OpsConfig::default()
+                },
+            );
         assert!(!report.incidents.is_empty());
         let snap = journal.snapshot();
         for i in &report.incidents {
@@ -735,19 +699,18 @@ mod tests {
         let catalog = ubuntu::catalog();
         let mut host = compliant_host(&catalog);
         let journal = Journal::new();
-        let report = OperationsPhase::new(&catalog).run_traced(
-            &mut host,
-            &OpsConfig {
-                duration: 1_500,
-                drift_rate: 0.05,
-                monitor_period: Some(5),
-                seed: 3,
-                ..OpsConfig::default()
-            },
-            &vdo_obs::Registry::disabled(),
-            &journal,
-            21,
-        );
+        let report = OperationsPhase::new(&catalog)
+            .with_telemetry(&Telemetry::off().with_journal(journal.clone(), 21))
+            .run(
+                &mut host,
+                &OpsConfig {
+                    duration: 1_500,
+                    drift_rate: 0.05,
+                    monitor_period: Some(5),
+                    seed: 3,
+                    ..OpsConfig::default()
+                },
+            );
         assert!(!report.incidents.is_empty());
         let snap = journal.snapshot();
         let rule_roots: Vec<_> = catalog

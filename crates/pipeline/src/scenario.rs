@@ -19,7 +19,7 @@ use vdo_host::UnixHost;
 use vdo_nalabs::RequirementDoc;
 use vdo_tears::{Expr, GuardedAssertion};
 use vdo_temporal::Formula;
-use vdo_trace::{Event, Journal, TraceContext};
+use vdo_trace::{Event, Telemetry, TraceContext};
 
 use crate::gates::{AnalysisGate, ComplianceGate, Gate, GateContext, RequirementsGate, TestGate};
 use crate::ops::{MonitorEngine, OperationsPhase, OpsConfig, OpsReport};
@@ -182,59 +182,37 @@ impl Serialize for PipelineReport {
     }
 }
 
-/// Runs the full scenario.
-#[must_use]
-pub fn run(config: &PipelineConfig) -> PipelineReport {
-    run_observed(config, &vdo_obs::Registry::disabled())
-}
-
-/// Runs the full scenario with observability: the development phase is
-/// timed under `pipeline/dev` (initial hardening, gates, merges), the
-/// operations phase under `pipeline/ops`, the whole run under
-/// `pipeline`, and the `pipeline.*` counters record gate decisions. The
-/// planner and operations instrumentation (`core.*`, `ops.*`)
-/// accumulate in the same registry, so one [`vdo_obs::Snapshot`] covers
-/// the closed loop end to end.
-#[must_use]
-pub fn run_observed(config: &PipelineConfig, obs: &vdo_obs::Registry) -> PipelineReport {
-    run_traced(config, obs, &Journal::default())
-}
-
-/// Like [`run_traced`], but with a durable columnar sink: every
-/// accepted journal event streams into segment files under `dir` (the
-/// [`vdo_trace::colfmt`] format) before entering the in-memory ring,
-/// so the whole closed loop — commit roots, gate verdicts, deploys,
-/// and the operations phase — leaves a compact on-disk record with no
-/// lossy tail. The returned journal is already synced (segments
-/// sealed); reopen the directory with
-/// [`vdo_trace::JournalDir`] for forensics.
-pub fn run_journaled(
-    config: &PipelineConfig,
-    obs: &vdo_obs::Registry,
-    dir: &std::path::Path,
-) -> std::io::Result<(PipelineReport, Journal)> {
-    let sink = vdo_trace::DirWriter::create(dir, "vdo-journal v1\nsource=pipeline\n")?;
-    let journal = Journal::with_sink(vdo_trace::JournalConfig::default(), Box::new(sink));
-    let report = run_traced(config, obs, &journal);
-    journal.sync();
-    Ok((report, journal))
-}
-
-/// Like [`run_observed`], but threads a [`vdo_trace::Journal`] through
-/// the whole closed loop: every commit gets a root [`TraceContext`]
-/// derived from `(seed, commit id)` at ingestion, each requirement
-/// document gets its own root, gate verdicts become child spans
+/// Runs the full scenario, reporting into `telemetry`.
+///
+/// The registry times the whole run under `pipeline`, the development
+/// phase under `pipeline/dev` (initial hardening, gates, merges) and
+/// the operations phase under `pipeline/ops`; the `pipeline.*`
+/// counters record gate decisions, and the planner and operations
+/// instrumentation (`core.*`, `ops.*`) accumulate in the same registry,
+/// so one [`vdo_obs::Snapshot`] covers the closed loop end to end.
+///
+/// The journal records the causal chain: every commit gets a root
+/// [`TraceContext`] derived from `(seed, commit id)` at ingestion, each
+/// requirement document its own root, gate verdicts become child spans
 /// (`gate.verdict` events), merges emit `pipeline.deploy`, and the
-/// operations phase inherits `config.seed` as its trace namespace so
+/// operations phase mints its incident roots in the same namespace, so
 /// every incident's trace id resolves back to the catalogue requirement
-/// it violated. Equal seeds yield byte-identical journal fingerprints.
-/// A disabled journal makes this exactly [`run_observed`].
+/// it violated. The scenario is its own trace namespace: roots are
+/// minted under `config.seed`, whatever `telemetry.trace_seed` says.
+/// Equal seeds yield byte-identical journal fingerprints, and
+/// telemetry never changes the report apart from incident trace stamps.
+///
+/// For a durable record, give the journal a columnar sink
+/// (`Journal::with_sink` over a [`vdo_trace::DirWriter`]) and
+/// [`sync`](vdo_trace::Journal::sync) it after the run.
 #[must_use]
-pub fn run_traced(
-    config: &PipelineConfig,
-    obs: &vdo_obs::Registry,
-    journal: &Journal,
-) -> PipelineReport {
+pub fn run(config: &PipelineConfig, telemetry: &Telemetry) -> PipelineReport {
+    let telemetry = Telemetry {
+        trace_seed: config.seed,
+        ..telemetry.clone()
+    };
+    let obs = &telemetry.obs;
+    let journal = &telemetry.journal;
     let run_span = obs.span("pipeline");
     let catalog = vdo_stigs::ubuntu::catalog();
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -243,14 +221,9 @@ pub fn run_traced(
     let dev_span = run_span.child("dev");
     // Deploy target starts compliant (initial hardening).
     let mut production = UnixHost::baseline_ubuntu_1804();
-    let hardening_planner = if tracing_on {
-        RemediationPlanner::default()
-            .observed(obs.clone())
-            .traced(journal.clone(), config.seed)
-    } else {
-        RemediationPlanner::default().observed(obs.clone())
-    };
-    hardening_planner.run(&catalog, &mut production);
+    RemediationPlanner::default()
+        .with_telemetry(&telemetry)
+        .run(&catalog, &mut production);
 
     let req_gate = RequirementsGate::new();
     let compliance_gate = ComplianceGate::new(&catalog, Severity::Medium);
@@ -360,20 +333,19 @@ pub fn run_traced(
     // The operations phase inherits `config.seed` as its trace
     // namespace (its drift RNG still uses the offset seed below), so
     // incident roots coincide with the requirement roots minted above.
-    let ops = OperationsPhase::new(&catalog).run_traced(
-        &mut production,
-        &OpsConfig {
-            engine: MonitorEngine::Polling,
-            duration: config.ops_duration,
-            drift_rate: config.drift_rate,
-            monitor_period: config.monitor_period,
-            audit_period: config.audit_period,
-            seed: config.seed.wrapping_add(1),
-        },
-        obs,
-        journal,
-        config.seed,
-    );
+    let ops = OperationsPhase::new(&catalog)
+        .with_telemetry(&telemetry)
+        .run(
+            &mut production,
+            &OpsConfig {
+                engine: MonitorEngine::Polling,
+                duration: config.ops_duration,
+                drift_rate: config.drift_rate,
+                monitor_period: config.monitor_period,
+                audit_period: config.audit_period,
+                seed: config.seed.wrapping_add(1),
+            },
+        );
 
     PipelineReport {
         commits: config.commits,
@@ -482,10 +454,25 @@ fn synth_commit(index: usize, config: &PipelineConfig, rng: &mut StdRng) -> Comm
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vdo_trace::Journal;
+
+    fn run_off(config: &PipelineConfig) -> PipelineReport {
+        run(config, &Telemetry::off())
+    }
+
+    fn observed(registry: &vdo_obs::Registry) -> Telemetry {
+        Telemetry::off().with_obs(registry.clone())
+    }
+
+    /// The scenario mints roots under `config.seed`; the telemetry's
+    /// own seed is irrelevant.
+    fn traced(journal: &Journal) -> Telemetry {
+        Telemetry::off().with_journal(journal.clone(), 0)
+    }
 
     #[test]
     fn gated_pipeline_blocks_everything_risky() {
-        let report = run(&PipelineConfig {
+        let report = run_off(&PipelineConfig {
             commits: 60,
             seed: 5,
             ..PipelineConfig::default()
@@ -507,7 +494,7 @@ mod tests {
 
     #[test]
     fn ungated_pipeline_ships_problems() {
-        let report = run(&PipelineConfig {
+        let report = run_off(&PipelineConfig {
             commits: 60,
             requirements_gate: false,
             compliance_gate: false,
@@ -524,7 +511,7 @@ mod tests {
 
     #[test]
     fn requirements_gate_alone_still_lets_vulnerabilities_pass() {
-        let report = run(&PipelineConfig {
+        let report = run_off(&PipelineConfig {
             commits: 60,
             requirements_gate: true,
             compliance_gate: false,
@@ -539,11 +526,11 @@ mod tests {
     #[test]
     fn automated_beats_manual_on_exposure() {
         let seed = 21;
-        let automated = run(&PipelineConfig {
+        let automated = run_off(&PipelineConfig {
             seed,
             ..PipelineConfig::default()
         });
-        let manual = run(&PipelineConfig {
+        let manual = run_off(&PipelineConfig {
             seed,
             requirements_gate: false,
             compliance_gate: false,
@@ -570,11 +557,11 @@ mod tests {
                 seed,
                 ..PipelineConfig::default()
             };
-            let incremental = run(&PipelineConfig {
+            let incremental = run_off(&PipelineConfig {
                 incremental_analysis: true,
                 ..base
             });
-            let batch = run(&PipelineConfig {
+            let batch = run_off(&PipelineConfig {
                 incremental_analysis: false,
                 ..base
             });
@@ -588,14 +575,14 @@ mod tests {
     #[test]
     fn incremental_runs_export_cache_counters() {
         let registry = vdo_obs::Registry::new();
-        let report = run_observed(
+        let report = run(
             &PipelineConfig {
                 commits: 40,
                 bad_artifact_rate: 0.3,
                 seed: 5,
                 ..PipelineConfig::default()
             },
-            &registry,
+            &observed(&registry),
         );
         let snap = registry.snapshot();
         let applies = snap
@@ -617,7 +604,7 @@ mod tests {
             commits: 30,
             ..PipelineConfig::default()
         };
-        assert_eq!(run(&cfg), run(&cfg));
+        assert_eq!(run_off(&cfg), run_off(&cfg));
     }
 
     #[test]
@@ -628,7 +615,7 @@ mod tests {
             seed: 5,
             ..PipelineConfig::default()
         };
-        let report = run_observed(&cfg, &registry);
+        let report = run(&cfg, &observed(&registry));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("pipeline.commits"), Some(40));
         assert_eq!(
@@ -663,8 +650,8 @@ mod tests {
             seed: 9,
             ..PipelineConfig::default()
         };
-        let plain = run(&cfg);
-        let observed = run_observed(&cfg, &vdo_obs::Registry::new());
+        let plain = run_off(&cfg);
+        let observed = run(&cfg, &observed(&vdo_obs::Registry::new()));
         assert_eq!(plain, observed, "instrumentation must not change behaviour");
     }
 
@@ -676,9 +663,9 @@ mod tests {
             ..PipelineConfig::default()
         };
         let a = vdo_obs::Registry::new();
-        let _ = run_observed(&cfg, &a);
+        let _ = run(&cfg, &observed(&a));
         let b = vdo_obs::Registry::new();
-        let _ = run_observed(&cfg, &b);
+        let _ = run(&cfg, &observed(&b));
         assert_eq!(
             a.snapshot().deterministic_fingerprint(),
             b.snapshot().deterministic_fingerprint()
@@ -695,7 +682,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         let journal = Journal::new();
-        let report = run_traced(&cfg, &vdo_obs::Registry::disabled(), &journal);
+        let report = run(&cfg, &traced(&journal));
         assert!(!report.ops.incidents.is_empty(), "drift must bite");
         let snap = journal.snapshot();
         for incident in &report.ops.incidents {
@@ -730,7 +717,10 @@ mod tests {
             seed: 5,
             ..PipelineConfig::default()
         };
-        let (report, journal) = run_journaled(&cfg, &vdo_obs::Registry::disabled(), &dir).unwrap();
+        let sink = vdo_trace::DirWriter::create(&dir, "vdo-journal v1\nsource=pipeline\n").unwrap();
+        let journal = Journal::with_sink(vdo_trace::JournalConfig::default(), Box::new(sink));
+        let report = run(&cfg, &traced(&journal));
+        journal.sync();
         let disk = vdo_trace::JournalDir::open(&dir).unwrap();
         assert_eq!(disk.header().unwrap(), "vdo-journal v1\nsource=pipeline\n");
         assert_eq!(
@@ -751,7 +741,7 @@ mod tests {
         assert!(names.iter().any(|n| n == "gate.verdict"));
         assert!(names.iter().any(|n| n == "pipeline.deploy"));
         // Behaviour is untouched by the sink.
-        assert_eq!(report.to_summary(), run(&cfg).to_summary());
+        assert_eq!(report.to_summary(), run_off(&cfg).to_summary());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -763,8 +753,8 @@ mod tests {
             seed: 9,
             ..PipelineConfig::default()
         };
-        let plain = run(&cfg);
-        let traced = run_traced(&cfg, &vdo_obs::Registry::disabled(), &Journal::new());
+        let plain = run_off(&cfg);
+        let traced = run(&cfg, &traced(&Journal::new()));
         assert_eq!(plain.to_summary(), traced.to_summary());
         assert_eq!(plain.rejected_total(), traced.rejected_total());
         assert_eq!(
@@ -795,16 +785,12 @@ mod tests {
             ..PipelineConfig::default()
         };
         let a = Journal::new();
-        let _ = run_traced(&cfg, &vdo_obs::Registry::disabled(), &a);
+        let _ = run(&cfg, &traced(&a));
         let b = Journal::new();
-        let _ = run_traced(&cfg, &vdo_obs::Registry::disabled(), &b);
+        let _ = run(&cfg, &traced(&b));
         assert_eq!(a.snapshot().fingerprint(), b.snapshot().fingerprint());
         let c = Journal::new();
-        let _ = run_traced(
-            &PipelineConfig { seed: 18, ..cfg },
-            &vdo_obs::Registry::disabled(),
-            &c,
-        );
+        let _ = run(&PipelineConfig { seed: 18, ..cfg }, &traced(&c));
         assert_ne!(
             a.snapshot().fingerprint(),
             c.snapshot().fingerprint(),
@@ -814,7 +800,7 @@ mod tests {
 
     #[test]
     fn report_serialises_to_json() {
-        let report = run(&PipelineConfig {
+        let report = run_off(&PipelineConfig {
             commits: 20,
             seed: 3,
             ..PipelineConfig::default()
@@ -829,7 +815,7 @@ mod tests {
 
     #[test]
     fn summary_renders_consistent_numbers() {
-        let report = run(&PipelineConfig {
+        let report = run_off(&PipelineConfig {
             commits: 30,
             seed: 2,
             ..PipelineConfig::default()

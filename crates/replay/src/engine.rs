@@ -25,12 +25,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use vdo_host::UnixHost;
-use vdo_soc::{SocEngine, SocMetrics, SocReport, SocTracing};
+use vdo_soc::{SocEngine, SocReport};
 use vdo_stigs::ubuntu;
 use vdo_trace::colfmt::{DirWriter, JournalDir};
 use vdo_trace::{
     Event, Journal, JournalConfig, JournalSink, MemorySink, SamplingPolicy, SamplingSink,
-    SamplingStats, Severity,
+    SamplingStats, Severity, Telemetry,
 };
 
 use crate::spec::RunSpec;
@@ -192,10 +192,10 @@ fn run_soc(
 ) -> (SocReport, Vec<UnixHost>) {
     let catalog = ubuntu::catalog();
     let mut fleet = ubuntu::hardened_fleet(spec.hosts);
-    let engine = SocEngine::new(&catalog, spec.soc_config(workers, duration))
-        .expect("replay spec maps to a valid SOC config");
-    let tracing = SocTracing::new(journal.clone(), spec.trace_seed);
-    let report = engine.run_traced(&mut fleet, &SocMetrics::new(), &tracing);
+    let report = SocEngine::new(&catalog, spec.soc_config(workers, duration))
+        .expect("replay spec maps to a valid SOC config")
+        .with_telemetry(&Telemetry::off().with_journal(journal.clone(), spec.trace_seed))
+        .run(&mut fleet);
     (report, fleet)
 }
 

@@ -106,24 +106,6 @@ impl ServerTracing {
         self
     }
 
-    /// Journal + seed with a durable columnar sink: every accepted
-    /// event streams into segment files under `dir` (the
-    /// [`vdo_trace::colfmt`] format) before it enters the in-memory
-    /// ring, so a tenant's full request lineage survives ring wrap.
-    /// Call [`Journal::sync`] (or drop the journal) after the run to
-    /// seal the open segment.
-    pub fn persistent(
-        dir: &std::path::Path,
-        trace_seed: u64,
-        config: vdo_trace::JournalConfig,
-    ) -> std::io::Result<Self> {
-        let sink = vdo_trace::DirWriter::create(dir, "vdo-journal v1\nsource=server\n")?;
-        Ok(ServerTracing::new(
-            Journal::with_sink(config, Box::new(sink)),
-            trace_seed,
-        ))
-    }
-
     /// The inert layer.
     #[must_use]
     pub fn disabled() -> Self {
@@ -784,8 +766,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut s = server(3, 16, 2);
         let mut gen = LoadGen::new(LoadConfig::even(3, 300, 30, 2));
-        let tracing =
-            ServerTracing::persistent(&dir, 77, vdo_trace::JournalConfig::default()).unwrap();
+        let sink = vdo_trace::DirWriter::create(&dir, "vdo-journal v1\nsource=server\n").unwrap();
+        let journal = Journal::with_sink(vdo_trace::JournalConfig::default(), Box::new(sink));
+        let tracing = ServerTracing::new(journal, 77);
         let report = s.run_load(&mut gen, &ServerMetrics::new(), &tracing);
         assert!(report.completed() > 0);
         tracing.journal.sync();

@@ -37,7 +37,7 @@ use vdo_core::{Catalog, CheckStatus, RemediationPlanner};
 use vdo_host::{DriftInjector, HostWrite};
 use vdo_tears::GuardedAssertion;
 use vdo_temporal::{PatternMonitor, Trace};
-use vdo_trace::{BurnRateRule, Event, Journal, LiveSloEngine, Severity, SloAlert, TraceContext};
+use vdo_trace::{BurnRateRule, Event, LiveSloEngine, Severity, SloAlert, Telemetry, TraceContext};
 
 use crate::bus::{PublishError, ShardedBus};
 use crate::event::{HostId, SecEvent};
@@ -91,6 +91,9 @@ pub struct SocConfig {
     pub attack_rate: f64,
     /// Retry/backoff/fault policy for remediation.
     pub remediation: RemediationConfig,
+    /// SLO burn-rate policy evaluated in-run; like every tracing
+    /// surface it is only active while the engine's journal records.
+    pub slo: Option<SloPolicy>,
 }
 
 impl Default for SocConfig {
@@ -106,67 +109,8 @@ impl Default for SocConfig {
             tears_assertion: None,
             attack_rate: 0.02,
             remediation: RemediationConfig::default(),
-        }
-    }
-}
-
-/// Causal-tracing and SLO wiring for one engine run.
-///
-/// A disabled journal (the [`Default`]) turns the whole layer off: no
-/// events are emitted, no trace contexts are minted, and the run is
-/// byte-identical to an untraced one. When enabled, `trace_seed` must
-/// match the seed the ingestion side (the pipeline scenario) used to
-/// mint requirement roots, so an incident detected here resolves to
-/// the catalogue requirement that caused it.
-#[derive(Debug, Clone, Default)]
-pub struct SocTracing {
-    /// The event journal; [`Journal::disabled`] makes this struct inert.
-    pub journal: Journal,
-    /// Seed for requirement-root [`TraceContext`]s.
-    pub trace_seed: u64,
-    /// Optional SLO burn-rate policy evaluated during the run.
-    pub slo: Option<SloPolicy>,
-}
-
-impl SocTracing {
-    /// Journal + seed, no SLO policy.
-    #[must_use]
-    pub fn new(journal: Journal, trace_seed: u64) -> Self {
-        SocTracing {
-            journal,
-            trace_seed,
             slo: None,
         }
-    }
-
-    /// Journal + seed with a durable columnar sink: every accepted
-    /// event streams into segment files under `dir` (the
-    /// [`vdo_trace::colfmt`] format) *before* it enters the in-memory
-    /// ring, so the on-disk record has no lossy tail even when the
-    /// ring wraps. Call [`Journal::sync`] (or drop the journal) after
-    /// the run to seal the open segment.
-    pub fn persistent(
-        dir: &std::path::Path,
-        trace_seed: u64,
-        config: vdo_trace::JournalConfig,
-    ) -> std::io::Result<Self> {
-        let sink = vdo_trace::DirWriter::create(dir, "vdo-journal v1\nsource=soc\n")?;
-        Ok(SocTracing::new(
-            Journal::with_sink(config, Box::new(sink)),
-            trace_seed,
-        ))
-    }
-
-    /// The inert layer: disabled journal, no tracing, no SLO.
-    #[must_use]
-    pub fn disabled() -> Self {
-        SocTracing::default()
-    }
-
-    /// `true` when events and trace contexts are recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.journal.is_enabled()
     }
 }
 
@@ -182,7 +126,7 @@ impl SocTracing {
 /// `soc.events_published`, `soc.events_deferred`, `soc.retries`,
 /// `soc.dead_letters`, `soc.remediations`, `soc.checks_run`, and the
 /// histogram `soc.detection_latency` (tick-bucketed).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloPolicy {
     /// Burn-rate rules to evaluate.
     pub rules: Vec<BurnRateRule>,
@@ -300,11 +244,14 @@ struct ShardLocal {
     trace_seed: Option<u64>,
 }
 
-/// The engine: a catalogue plus a validated configuration.
+/// The engine: a catalogue, a validated configuration, and the
+/// recorders its runs report into.
 pub struct SocEngine<'a, E> {
     catalog: &'a Catalog<E>,
     config: SocConfig,
     assertion: Option<GuardedAssertion>,
+    telemetry: Telemetry,
+    metrics: Option<SocMetrics>,
 }
 
 impl<E> std::fmt::Debug for SocEngine<'_, E> {
@@ -343,7 +290,40 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
             catalog,
             config,
             assertion,
+            telemetry: Telemetry::off(),
+            metrics: None,
         })
+    }
+
+    /// Attaches causal tracing. With the journal on, requirement roots
+    /// are journalled at tick 0 under `telemetry.trace_seed` (which
+    /// must match the seed the ingestion side minted them under, so
+    /// incidents resolve to their catalogue requirement), every
+    /// detection/remediation step emits an event chained to the
+    /// requirement's [`TraceContext`], bus envelopes carry their
+    /// publisher's context, and [`SocConfig::slo`] is evaluated.
+    /// Events are emitted from the main thread with purely derived
+    /// contents, so equal-seed runs produce identical journal
+    /// fingerprints at any worker count; with the journal off the run
+    /// is byte-identical to an untraced one (experiment E14 measures
+    /// both). The engine's counters go to its [`SocMetrics`], not to
+    /// `telemetry.obs`: see [`with_metrics`](Self::with_metrics).
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
+        self.telemetry = telemetry.clone();
+        self
+    }
+
+    /// Records every run into caller-owned instruments instead of a
+    /// fresh [`SocMetrics::new`] per run: pass
+    /// [`SocMetrics::in_registry`] to surface runs in a unified
+    /// [`vdo_obs`] snapshot, or [`SocMetrics::disabled`] for the no-op
+    /// recorder (experiment E12 measures that overhead). Reports
+    /// snapshot whatever the instruments captured.
+    #[must_use]
+    pub fn with_metrics(mut self, metrics: SocMetrics) -> Self {
+        self.metrics = Some(metrics);
+        self
     }
 
     /// The validated configuration.
@@ -355,39 +335,18 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
     /// Runs the engine over `hosts`, mutating them in place (drift and
     /// remediation), and reports incidents plus metrics.
     pub fn run(&self, hosts: &mut [E]) -> SocReport {
-        self.run_with_metrics(hosts, &SocMetrics::new())
-    }
-
-    /// Like [`run`](Self::run), but records into caller-owned
-    /// instruments: pass [`SocMetrics::in_registry`] to surface the run
-    /// in a unified [`vdo_obs`] snapshot, or [`SocMetrics::disabled`]
-    /// to run with the no-op recorder (experiment E12 measures that
-    /// overhead at under 5%). The returned report snapshots whatever
-    /// the instruments captured.
-    pub fn run_with_metrics(&self, hosts: &mut [E], metrics: &SocMetrics) -> SocReport {
-        self.run_traced(hosts, metrics, &SocTracing::disabled())
-    }
-
-    /// Like [`run_with_metrics`](Self::run_with_metrics), plus causal
-    /// tracing: requirement roots are journalled at tick 0, every
-    /// detection/remediation step emits a journal event chained to the
-    /// requirement's [`TraceContext`], bus envelopes carry their
-    /// publisher's context, and an optional [`SloPolicy`] evaluates
-    /// burn-rate rules in-run. With [`SocTracing::disabled`] this is
-    /// byte-identical to an untraced run — experiment E14 measures the
-    /// enabled overhead. Journal events are emitted from the main
-    /// thread with purely derived contents, so equal-seed runs produce
-    /// identical journal fingerprints at any worker count.
-    pub fn run_traced(
-        &self,
-        hosts: &mut [E],
-        metrics: &SocMetrics,
-        tracing: &SocTracing,
-    ) -> SocReport {
+        let fresh;
+        let metrics = match &self.metrics {
+            Some(m) => m,
+            None => {
+                fresh = SocMetrics::new();
+                &fresh
+            }
+        };
         let cfg = &self.config;
-        let journal = &tracing.journal;
+        let journal = &self.telemetry.journal;
         let tracing_on = journal.is_enabled();
-        let trace_seed = tracing_on.then_some(tracing.trace_seed);
+        let trace_seed = tracing_on.then_some(self.telemetry.trace_seed);
         if tracing_on {
             // Requirement ingestion: one root per monitored artifact.
             // Incident traces minted later resolve back to these.
@@ -395,14 +354,14 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                 let id = entry.spec().finding_id();
                 journal.emit(
                     Event::info("requirement.ingested")
-                        .trace(TraceContext::root(tracing.trace_seed, id))
+                        .trace(TraceContext::root(self.telemetry.trace_seed, id))
                         .field("rule", id),
                 );
             }
             if let Some(ga) = &self.assertion {
                 journal.emit(
                     Event::info("requirement.ingested")
-                        .trace(TraceContext::root(tracing.trace_seed, ga.name()))
+                        .trace(TraceContext::root(self.telemetry.trace_seed, ga.name()))
                         .field("rule", ga.name()),
                 );
             }
@@ -441,11 +400,11 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
         let mut drift_events = 0u64;
         let mut noncompliant_host_ticks = 0u64;
         let mut fleet_trace = Trace::new();
-        let mut live_slo = tracing
+        let mut live_slo = cfg
             .slo
             .as_ref()
             .filter(|_| tracing_on)
-            .map(|p| LiveSloEngine::new(tracing.trace_seed, p.rules.clone()));
+            .map(|p| LiveSloEngine::new(self.telemetry.trace_seed, p.rules.clone()));
         let mut slo_alerts: Vec<SloAlert> = Vec::new();
         // Per-tick publish volumes for the streaming SLO feed: counted
         // in `Cell`s because the publish closure already borrows
@@ -849,7 +808,7 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                 let broken = open.iter().filter(|rules| !rules.is_empty()).count() as u64;
                 noncompliant_host_ticks += broken;
                 fleet_trace.push(broken == 0);
-                if let (Some(policy), Some(live)) = (&tracing.slo, live_slo.as_mut()) {
+                if let (Some(policy), Some(live)) = (&cfg.slo, live_slo.as_mut()) {
                     // Drain this tick's publish volumes into the
                     // streaming windows, then evaluate on cadence.
                     live.incr("soc.events_published", tick, published_now.take());
@@ -1019,6 +978,7 @@ mod tests {
     use vdo_core::RemediationPlanner;
     use vdo_host::WindowsHost;
     use vdo_stigs::ubuntu;
+    use vdo_trace::Journal;
 
     fn base_config() -> SocConfig {
         SocConfig {
@@ -1201,11 +1161,12 @@ mod tests {
     #[test]
     fn traced_incidents_resolve_to_requirement_roots() {
         let catalog = ubuntu::catalog();
-        let engine = SocEngine::new(&catalog, base_config()).unwrap();
-        let mut fleet = ubuntu::hardened_fleet(6);
         let journal = Journal::new();
-        let tracing = SocTracing::new(journal.clone(), 11);
-        let report = engine.run_traced(&mut fleet, &SocMetrics::new(), &tracing);
+        let engine = SocEngine::new(&catalog, base_config())
+            .unwrap()
+            .with_telemetry(&Telemetry::off().with_journal(journal.clone(), 11));
+        let mut fleet = ubuntu::hardened_fleet(6);
+        let report = engine.run(&mut fleet);
         assert!(!report.incidents.is_empty());
         let snap = journal.snapshot();
         for inc in &report.incidents {
@@ -1229,18 +1190,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vdo-soc-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let catalog = ubuntu::catalog();
-        let engine = SocEngine::new(&catalog, base_config()).unwrap();
+        let sink = vdo_trace::DirWriter::create(&dir, "vdo-journal v1\nsource=soc\n").unwrap();
+        let journal = Journal::with_sink(vdo_trace::JournalConfig::default(), Box::new(sink));
+        let engine = SocEngine::new(&catalog, base_config())
+            .unwrap()
+            .with_telemetry(&Telemetry::off().with_journal(journal.clone(), 11));
         let mut fleet = ubuntu::hardened_fleet(6);
-        let tracing =
-            SocTracing::persistent(&dir, 11, vdo_trace::JournalConfig::default()).unwrap();
-        let report = engine.run_traced(&mut fleet, &SocMetrics::new(), &tracing);
+        let report = engine.run(&mut fleet);
         assert!(!report.incidents.is_empty());
-        tracing.journal.sync();
+        journal.sync();
         let disk = vdo_trace::JournalDir::open(&dir).unwrap();
         assert_eq!(disk.header().unwrap(), "vdo-journal v1\nsource=soc\n");
         assert_eq!(
             disk.event_count().unwrap(),
-            tracing.journal.accepted(),
+            journal.accepted(),
             "the durable stream holds every accepted event"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -1252,8 +1215,11 @@ mod tests {
         let engine = SocEngine::new(&catalog, base_config()).unwrap();
         let mut a = ubuntu::hardened_fleet(6);
         let mut b = ubuntu::hardened_fleet(6);
-        let untraced = engine.run_with_metrics(&mut a, &SocMetrics::new());
-        let disabled = engine.run_traced(&mut b, &SocMetrics::new(), &SocTracing::disabled());
+        let untraced = engine.run(&mut a);
+        let disabled = SocEngine::new(&catalog, base_config())
+            .unwrap()
+            .with_telemetry(&Telemetry::off())
+            .run(&mut b);
         assert_eq!(untraced.incident_log(), disabled.incident_log());
         assert!(disabled.incidents.iter().all(|i| i.trace.is_none()));
         assert!(disabled.slo_alerts.is_empty());
@@ -1269,11 +1235,12 @@ mod tests {
                     workers,
                     ..base_config()
                 };
-                let engine = SocEngine::new(&catalog, cfg).unwrap();
-                let mut fleet = ubuntu::hardened_fleet(8);
                 let journal = Journal::new();
-                let tracing = SocTracing::new(journal.clone(), 5);
-                engine.run_traced(&mut fleet, &SocMetrics::new(), &tracing);
+                let engine = SocEngine::new(&catalog, cfg)
+                    .unwrap()
+                    .with_telemetry(&Telemetry::off().with_journal(journal.clone(), 5));
+                let mut fleet = ubuntu::hardened_fleet(8);
+                engine.run(&mut fleet);
                 journal.snapshot().fingerprint()
             })
             .collect();
@@ -1288,15 +1255,6 @@ mod tests {
         let catalog = ubuntu::catalog();
         let cfg = SocConfig {
             drift_rate: 0.3,
-            ..base_config()
-        };
-        let engine = SocEngine::new(&catalog, cfg).unwrap();
-        let mut fleet = ubuntu::hardened_fleet(6);
-        let metrics = SocMetrics::new();
-        let journal = Journal::new();
-        let tracing = SocTracing {
-            journal: journal.clone(),
-            trace_seed: 11,
             slo: Some(SloPolicy {
                 rules: vec![BurnRateRule {
                     name: "event-volume".into(),
@@ -1311,8 +1269,14 @@ mod tests {
                 }],
                 period: 5,
             }),
+            ..base_config()
         };
-        let report = engine.run_traced(&mut fleet, &metrics, &tracing);
+        let journal = Journal::new();
+        let engine = SocEngine::new(&catalog, cfg)
+            .unwrap()
+            .with_telemetry(&Telemetry::off().with_journal(journal.clone(), 11));
+        let mut fleet = ubuntu::hardened_fleet(6);
+        let report = engine.run(&mut fleet);
         assert!(
             !report.slo_alerts.is_empty(),
             "a saturated bad-ratio must breach the budget"

@@ -61,7 +61,7 @@ pub mod remediation;
 pub mod runtime;
 
 pub use bus::{PublishError, ShardedBus};
-pub use engine::{SloPolicy, SocConfig, SocConfigError, SocEngine, SocHost, SocReport, SocTracing};
+pub use engine::{SloPolicy, SocConfig, SocConfigError, SocEngine, SocHost, SocReport};
 pub use event::{shard_of, Envelope, HostId, SecEvent};
 pub use metrics::{MetricsSnapshot, SocMetrics};
 pub use monitors::{

@@ -11,6 +11,9 @@
 //! comparison:= ident op number
 //! op        := ">=" | "<=" | ">" | "<" | "==" | "!="
 //! ```
+//!
+//! Nesting is bounded by [`MAX_EXPR_DEPTH`], so hostile input gets an
+//! error instead of exhausting the stack.
 
 use std::fmt;
 
@@ -59,6 +62,14 @@ impl fmt::Display for CmpOp {
     }
 }
 
+/// The deepest nesting [`Expr::parse`] accepts, counted two ways, each
+/// capped here: the textual nesting of `(` and `not` (a `not (` pair is
+/// one level), and the operator depth of the parsed tree (`not`, `and`,
+/// `or` nodes on the longest root-to-leaf path, so a chain of `and`s is
+/// as deep as it is long). A tree within the cap displays as text
+/// within the cap, so `Display` output always parses back.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
 /// A Boolean condition over signals.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -94,7 +105,8 @@ impl Expr {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseExprError`] on malformed input.
+    /// Returns [`ParseExprError`] on malformed input, on a `nan`
+    /// constant, and on nesting deeper than [`MAX_EXPR_DEPTH`].
     ///
     /// ```
     /// use vdo_tears::Expr;
@@ -103,8 +115,12 @@ impl Expr {
     /// ```
     pub fn parse(input: &str) -> Result<Expr, ParseExprError> {
         let tokens = tokenize(input)?;
-        let mut p = Parser { tokens, pos: 0 };
-        let e = p.or_expr()?;
+        let mut p = Parser {
+            tokens,
+            pos: 0,
+            nesting: 0,
+        };
+        let (e, _) = p.or_expr()?;
         if p.pos != p.tokens.len() {
             return Err(ParseExprError {
                 message: format!("unexpected trailing token '{}'", p.tokens[p.pos]),
@@ -222,9 +238,13 @@ fn tokenize(input: &str) -> Result<Vec<String>, ParseExprError> {
     Ok(tokens)
 }
 
+/// Recursive-descent parser. Every production returns its tree with
+/// the tree's operator depth, so depth is checked as the tree grows.
 struct Parser {
     tokens: Vec<String>,
     pos: usize,
+    /// Open `(` / `not` levels at the current position.
+    nesting: usize,
 }
 
 impl Parser {
@@ -243,40 +263,72 @@ impl Parser {
         }
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseExprError> {
-        let mut left = self.and_expr()?;
+    fn too_deep(&self) -> ParseExprError {
+        self.err(format!("expression nested deeper than {MAX_EXPR_DEPTH}"))
+    }
+
+    /// The depth of a node over children at most `child` deep.
+    fn node(&self, child: usize) -> Result<usize, ParseExprError> {
+        if child >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(child + 1)
+    }
+
+    fn enter(&mut self) -> Result<(), ParseExprError> {
+        if self.nesting >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        Ok(())
+    }
+
+    fn or_expr(&mut self) -> Result<(Expr, usize), ParseExprError> {
+        let (mut left, mut depth) = self.and_expr()?;
         while self.peek() == Some("or") {
             self.bump();
-            let right = self.and_expr()?;
+            let (right, d) = self.and_expr()?;
+            depth = self.node(depth.max(d))?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseExprError> {
-        let mut left = self.not_expr()?;
+    fn and_expr(&mut self) -> Result<(Expr, usize), ParseExprError> {
+        let (mut left, mut depth) = self.not_expr()?;
         while self.peek() == Some("and") {
             self.bump();
-            let right = self.not_expr()?;
+            let (right, d) = self.not_expr()?;
+            depth = self.node(depth.max(d))?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn not_expr(&mut self) -> Result<Expr, ParseExprError> {
+    fn not_expr(&mut self) -> Result<(Expr, usize), ParseExprError> {
         if self.peek() == Some("not") {
             self.bump();
-            let inner = self.not_expr()?;
-            return Ok(Expr::Not(Box::new(inner)));
+            // In `not (`, the parenthesis pays for the level.
+            let paren = self.peek() == Some("(");
+            if !paren {
+                self.enter()?;
+            }
+            let (inner, d) = self.not_expr()?;
+            if !paren {
+                self.nesting -= 1;
+            }
+            return Ok((Expr::Not(Box::new(inner)), self.node(d)?));
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseExprError> {
+    fn primary(&mut self) -> Result<(Expr, usize), ParseExprError> {
         match self.peek() {
             Some("(") => {
                 self.bump();
+                self.enter()?;
                 let e = self.or_expr()?;
+                self.nesting -= 1;
                 if self.bump().as_deref() != Some(")") {
                     return Err(self.err("expected ')'"));
                 }
@@ -305,10 +357,14 @@ impl Parser {
                     Some(n) => n,
                     None => return Err(self.err("expected number")),
                 };
+                // `nan` would parse, but compares false to everything
+                // and to itself, so it cannot round-trip.
                 let k: f64 = num
                     .parse()
-                    .map_err(|_| self.err(format!("invalid number '{num}'")))?;
-                Ok(Expr::Cmp(name, op, k))
+                    .ok()
+                    .filter(|k: &f64| !k.is_nan())
+                    .ok_or_else(|| self.err(format!("invalid number '{num}'")))?;
+                Ok((Expr::Cmp(name, op, k), 0))
             }
             other => Err(self.err(format!("expected expression, found {other:?}"))),
         }
@@ -366,6 +422,43 @@ mod tests {
         assert!(Expr::parse("(x > 1").is_err());
         assert!(Expr::parse("x > 1 &").is_err());
         assert!(Expr::parse("> 1").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_expr_depth() {
+        let parens = |n: usize| format!("{}x > 1{}", "(".repeat(n), ")".repeat(n));
+        let nots = |n: usize| format!("{}x > 1", "not ".repeat(n));
+        for nested in [parens, nots] {
+            assert!(Expr::parse(&nested(MAX_EXPR_DEPTH)).is_ok());
+            for n in [MAX_EXPR_DEPTH + 1, 100_000] {
+                let err = Expr::parse(&nested(n)).unwrap_err();
+                assert!(err.message.contains("nested deeper"), "{err}");
+            }
+        }
+        // `not (` is one level, and a tree at the cap round-trips.
+        let not_parens = format!(
+            "{}x > 1{}",
+            "not (".repeat(MAX_EXPR_DEPTH),
+            ")".repeat(MAX_EXPR_DEPTH)
+        );
+        let e = Expr::parse(&not_parens).unwrap();
+        assert_eq!(Expr::parse(&e.to_string()).unwrap(), e);
+        // Operator chains count as deep as they are long.
+        let chain = |n: usize| vec!["x > 1"; n + 1].join(" and ");
+        let e = Expr::parse(&chain(MAX_EXPR_DEPTH)).unwrap();
+        assert_eq!(Expr::parse(&e.to_string()).unwrap(), e);
+        assert!(Expr::parse(&chain(MAX_EXPR_DEPTH + 1)).is_err());
+        assert!(Expr::parse(&chain(100_000)).is_err());
+    }
+
+    #[test]
+    fn nan_constants_are_rejected() {
+        assert!(Expr::parse("x > nan").is_err());
+        assert!(Expr::parse("x > NaN").is_err());
+        assert_eq!(
+            Expr::parse("x < inf").unwrap(),
+            Expr::Cmp("x".into(), CmpOp::Lt, f64::INFINITY)
+        );
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! * [`SamplingSink`] — adaptive tail-based sampling over any
 //!   [`JournalSink`]: head-samples quiet traces, keeps anomalous
 //!   causal chains whole, and stays deterministic enough that sampled
-//!   journals still replay.
+//!   journals still replay;
+//! * [`Telemetry`] — one run's registry, journal and trace seed in a
+//!   single value, handed once to each runtime of the loop.
 
 pub mod colfmt;
 pub mod context;
@@ -37,6 +39,7 @@ pub mod journal;
 pub mod live;
 pub mod sampling;
 pub mod slo;
+pub mod telemetry;
 
 pub use colfmt::{compact, CompactionStats, DirWriter, JournalDir, SegmentReader, SegmentWriter};
 pub use context::{SpanId, TraceContext, TraceId};
@@ -46,3 +49,4 @@ pub use journal::{
 pub use live::LiveSloEngine;
 pub use sampling::{SamplingPolicy, SamplingSink, SamplingStats};
 pub use slo::{BurnRateRule, SloAlert, SloSignal};
+pub use telemetry::Telemetry;

@@ -12,12 +12,10 @@ use veridevops::server::{
     LoadConfig, LoadGen, Server, ServerConfig, ServerMetrics, ServerSloPolicy, ServerTracing,
     TenantConfig,
 };
-use veridevops::soc::{
-    RemediationConfig, SecEvent, ShardedBus, SloPolicy, SocConfig, SocEngine, SocMetrics,
-    SocTracing,
-};
+use veridevops::soc::{RemediationConfig, SecEvent, ShardedBus, SloPolicy, SocConfig, SocEngine};
 use veridevops::trace::{
     BurnRateRule, Journal, JournalConfig, SamplingPolicy, SamplingSink, Severity, SloSignal,
+    Telemetry,
 };
 
 fn main() {
@@ -35,27 +33,27 @@ fn main() {
             fault_rate: 0.3,
             ..RemediationConfig::default()
         },
+        slo: Some(SloPolicy {
+            rules: vec![BurnRateRule {
+                name: "remediation-failures".into(),
+                signal: SloSignal::CounterRatio {
+                    bad: "soc.dead_letters".into(),
+                    total: "soc.remediations".into(),
+                },
+                objective: 0.05,
+                long_window: 20,
+                short_window: 5,
+                factor: 2.0,
+            }],
+            period: 1,
+        }),
         ..SocConfig::default()
     };
-    let engine = SocEngine::new(&catalog, config).expect("valid config");
+    let engine = SocEngine::new(&catalog, config)
+        .expect("valid config")
+        .with_telemetry(&Telemetry::off().with_journal(Journal::new(), 11));
     let mut fleet = veridevops::stigs::ubuntu::hardened_fleet(32);
-
-    let mut tracing = SocTracing::new(Journal::new(), 11);
-    tracing.slo = Some(SloPolicy {
-        rules: vec![BurnRateRule {
-            name: "remediation-failures".into(),
-            signal: SloSignal::CounterRatio {
-                bad: "soc.dead_letters".into(),
-                total: "soc.remediations".into(),
-            },
-            objective: 0.05,
-            long_window: 20,
-            short_window: 5,
-            factor: 2.0,
-        }],
-        period: 1,
-    });
-    let report = engine.run_traced(&mut fleet, &SocMetrics::new(), &tracing);
+    let report = engine.run(&mut fleet);
     println!(
         "SOC fleet: {} incident(s), {} live SLO alert(s)",
         report.incidents.len(),
@@ -164,13 +162,10 @@ fn main() {
             ..SocConfig::default()
         },
     )
-    .expect("valid config");
+    .expect("valid config")
+    .with_telemetry(&Telemetry::off().with_journal(journal.clone(), 11));
     let mut fleet2 = veridevops::stigs::ubuntu::hardened_fleet(32);
-    engine.run_traced(
-        &mut fleet2,
-        &SocMetrics::new(),
-        &SocTracing::new(journal.clone(), 11),
-    );
+    engine.run(&mut fleet2);
     journal.sync();
     println!(
         "sampled journal: kept {} of {} events ({} trace(s) promoted on anomaly)",

@@ -13,9 +13,8 @@
 //!
 //! Run with: `cargo run --example trace_audit`
 
-use veridevops::obs::Registry;
-use veridevops::pipeline::{run_traced, PipelineConfig};
-use veridevops::trace::{export, Journal};
+use veridevops::pipeline::{run, PipelineConfig};
+use veridevops::trace::{export, Journal, Telemetry};
 
 fn main() {
     // -- The gated loop, with the journal recording. --------------------
@@ -27,7 +26,10 @@ fn main() {
         ..PipelineConfig::default()
     };
     let journal = Journal::new();
-    let report = run_traced(&config, &Registry::disabled(), &journal);
+    let report = run(
+        &config,
+        &Telemetry::off().with_journal(journal.clone(), config.seed),
+    );
     let snapshot = journal.snapshot();
     println!(
         "seed {}: {} commits gated, {} incidents at operations, {} journal events ({} dropped)\n",
@@ -72,7 +74,10 @@ fn main() {
         incident_lines,
     );
     let again = Journal::new();
-    let _ = run_traced(&config, &Registry::disabled(), &again);
+    let _ = run(
+        &config,
+        &Telemetry::off().with_journal(again.clone(), config.seed),
+    );
     println!(
         "  fingerprints equal: {}",
         snapshot.fingerprint() == again.snapshot().fingerprint()

@@ -2,7 +2,12 @@
 //! integration test: gates at development, monitors at operations, and
 //! the paper's headline claim that automation reduces exposure.
 
-use veridevops::pipeline::{run, PipelineConfig};
+use veridevops::pipeline::{run, PipelineConfig, PipelineReport};
+use veridevops::trace::Telemetry;
+
+fn run_off(config: &PipelineConfig) -> PipelineReport {
+    run(config, &Telemetry::off())
+}
 
 fn base(seed: u64) -> PipelineConfig {
     PipelineConfig {
@@ -19,7 +24,7 @@ fn base(seed: u64) -> PipelineConfig {
 
 #[test]
 fn full_loop_blocks_everything_risky() {
-    let report = run(&base(1));
+    let report = run_off(&base(1));
     assert_eq!(report.smelly_requirements_merged, 0);
     assert_eq!(report.vulnerabilities_deployed, 0);
     assert!(report.rejected_requirements + report.rejected_compliance > 0);
@@ -30,8 +35,8 @@ fn automated_configuration_dominates_manual_baseline() {
     // Compare across several seeds: gates+monitoring never lose on
     // exposure or detection latency against the unassisted baseline.
     for seed in [2, 3, 5, 8, 13] {
-        let automated = run(&base(seed));
-        let manual = run(&PipelineConfig {
+        let automated = run_off(&base(seed));
+        let manual = run_off(&PipelineConfig {
             requirements_gate: false,
             compliance_gate: false,
             test_gate: false,
@@ -54,7 +59,7 @@ fn automated_configuration_dominates_manual_baseline() {
 
 #[test]
 fn monitoring_alone_still_catches_operations_drift() {
-    let monitored_only = run(&PipelineConfig {
+    let monitored_only = run_off(&PipelineConfig {
         requirements_gate: false,
         compliance_gate: false,
         test_gate: false,
@@ -73,5 +78,5 @@ fn monitoring_alone_still_catches_operations_drift() {
 
 #[test]
 fn reports_are_deterministic() {
-    assert_eq!(run(&base(9)), run(&base(9)));
+    assert_eq!(run_off(&base(9)), run_off(&base(9)));
 }

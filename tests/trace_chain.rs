@@ -6,9 +6,9 @@
 
 use veridevops::core::RemediationPlanner;
 use veridevops::host::UnixHost;
-use veridevops::pipeline::{run_traced, MonitorEngine, OperationsPhase, OpsConfig, PipelineConfig};
+use veridevops::pipeline::{run, MonitorEngine, OperationsPhase, OpsConfig, PipelineConfig};
 use veridevops::stigs::ubuntu;
-use veridevops::trace::{Journal, TraceContext};
+use veridevops::trace::{Journal, Telemetry, TraceContext};
 
 fn scenario(seed: u64) -> PipelineConfig {
     PipelineConfig {
@@ -28,10 +28,9 @@ fn scenario(seed: u64) -> PipelineConfig {
 fn gated_polling_incidents_resolve_to_requirement_roots() {
     let seed = 7;
     let journal = Journal::new();
-    let report = run_traced(
+    let report = run(
         &scenario(seed),
-        &veridevops::obs::Registry::disabled(),
-        &journal,
+        &Telemetry::off().with_journal(journal.clone(), seed),
     );
     assert!(
         !report.ops.incidents.is_empty(),
@@ -80,19 +79,18 @@ fn event_driven_incidents_resolve_and_fingerprints_ignore_worker_count() {
         let mut host = UnixHost::baseline_ubuntu_1804();
         RemediationPlanner::default().run(&catalog, &mut host);
         let journal = Journal::new();
-        let report = OperationsPhase::new(&catalog).run_traced(
-            &mut host,
-            &OpsConfig {
-                engine: MonitorEngine::EventDriven { workers },
-                duration: 600,
-                drift_rate: 0.05,
-                seed,
-                ..OpsConfig::default()
-            },
-            &veridevops::obs::Registry::disabled(),
-            &journal,
-            seed,
-        );
+        let report = OperationsPhase::new(&catalog)
+            .with_telemetry(&Telemetry::off().with_journal(journal.clone(), seed))
+            .run(
+                &mut host,
+                &OpsConfig {
+                    engine: MonitorEngine::EventDriven { workers },
+                    duration: 600,
+                    drift_rate: 0.05,
+                    seed,
+                    ..OpsConfig::default()
+                },
+            );
         assert!(!report.incidents.is_empty());
         let snap = journal.snapshot();
         for incident in &report.incidents {
@@ -115,10 +113,9 @@ fn event_driven_incidents_resolve_and_fingerprints_ignore_worker_count() {
 fn tracing_is_deterministic_and_free_of_side_effects() {
     let fingerprint = |seed: u64| {
         let journal = Journal::new();
-        let report = run_traced(
+        let report = run(
             &scenario(seed),
-            &veridevops::obs::Registry::disabled(),
-            &journal,
+            &Telemetry::off().with_journal(journal.clone(), seed),
         );
         (report.to_summary(), journal.snapshot().fingerprint())
     };
